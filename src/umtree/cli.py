@@ -4,7 +4,8 @@ Subcommands: build, greedy, necessity, explain, breakup, check,
 enumerate, gen, bench. Stdout carries only payloads (Newick trees, atom
 strings, the bench table); run statistics go to stderr as one JSON
 object. Exit codes: 0 success/compatible, 1 incompatible (or check
-failed), 2 parse/usage error, 3 precondition failure.
+failed), 2 parse/usage error, 3 precondition failure, 4 internal error
+(an unexpected exception, reported instead of posing as a verdict).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_INCOMPATIBLE = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 def _read_trees(paths):
@@ -269,6 +271,9 @@ def main(argv=None) -> int:
     except (NewickParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -62,9 +62,9 @@ class Propagator:
         self.wake_count = 0
         self.entailed = False
         self._queued = False
-        self._pending: dict[Optional[int], Event] = {}
+        self._pending: dict[Optional[int], int] = {}
 
-    def wake(self, store: Store, var: Optional[int], events: Event) -> Wake:
+    def wake(self, store: Store, var: Optional[int], events: int) -> Wake:
         raise NotImplementedError
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -327,10 +328,13 @@ class UltrametricIntMatrix:
         if not (v == v.T).all():
             raise ValueError("matrix must be symmetric")
 
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
     def value(self, a: str, b: str) -> int:
-        i = self.labels.index(a)
-        j = self.labels.index(b)
-        return int(self.values[i, j])
+        index = self.index
+        return int(self.values[index[a], index[b]])
 
 
 def tree_to_matrix(tree: PhyloTree) -> UltrametricIntMatrix:

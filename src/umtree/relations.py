@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .engine import Engine, Propagator, Wake
-from .store import Event, Store
+from .store import Store
 from .phylo import Fan, Triple
 from .ultrametric import MrcaMatrix
 
@@ -26,7 +26,7 @@ class Less(Propagator):
         super().__init__((a, b))
         self.a, self.b = a, b
 
-    def wake(self, store: Store, var: Optional[int], events: Event) -> Wake:
+    def wake(self, store: Store, var: Optional[int], events: int) -> Wake:
         a, b = self.a, self.b
         store.tighten_lb(b, store.lbs[a] + 1)
         if store.failed:
@@ -46,7 +46,7 @@ class LessEq(Propagator):
         super().__init__((a, b))
         self.a, self.b = a, b
 
-    def wake(self, store: Store, var: Optional[int], events: Event) -> Wake:
+    def wake(self, store: Store, var: Optional[int], events: int) -> Wake:
         a, b = self.a, self.b
         store.tighten_lb(b, store.lbs[a])
         if store.failed:
@@ -66,7 +66,7 @@ class Equal(Propagator):
         super().__init__(vars_)
         self.vars = vars_
 
-    def wake(self, store: Store, var: Optional[int], events: Event) -> Wake:
+    def wake(self, store: Store, var: Optional[int], events: int) -> Wake:
         lbs, ubs = store.lbs, store.ubs
         lo = max(lbs[v] for v in self.vars)
         hi = min(ubs[v] for v in self.vars)

@@ -12,17 +12,18 @@ number of mutations being undone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntFlag
 
 
-class Event(IntFlag):
-    """Domain events raised by bound mutations.
+class Event:
+    """Domain event bits raised by bound mutations, as plain int masks.
 
     MIN: the lower bound strictly increased.
     MAX: the upper bound strictly decreased.
     FIX: the domain just became a singleton.
 
     A single mutation can raise up to two of these (e.g. MIN | FIX).
+    Events travel as ints, so combining and testing them costs no enum
+    construction on the propagation hot path.
     """
 
     NONE = 0
@@ -69,7 +70,7 @@ class Store:
         self.ubs: list[int] = []
         self.failed = False
         self._trail: list[tuple[int, bool, int]] = []  # (var, is_lb, old value)
-        self._events: list[tuple[int, Event]] = []
+        self._events: list[tuple[int, int]] = []
         self._cps: list[Checkpoint] = []
 
     # -- variables ----------------------------------------------------
@@ -104,7 +105,7 @@ class Store:
         """Mark the store failed; domains keep their last valid values."""
         self.failed = True
 
-    def tighten_lb(self, v: int, val: int) -> Event:
+    def tighten_lb(self, v: int, val: int) -> int:
         """Raise lb(v) to val. No-op if val <= lb; fails if val > ub."""
         if self.failed:
             return _NONE
@@ -120,7 +121,7 @@ class Store:
         self._events.append((v, ev))
         return ev
 
-    def tighten_ub(self, v: int, val: int) -> Event:
+    def tighten_ub(self, v: int, val: int) -> int:
         """Lower ub(v) to val. No-op if val >= ub; fails if val < lb."""
         if self.failed:
             return _NONE
@@ -136,14 +137,14 @@ class Store:
         self._events.append((v, ev))
         return ev
 
-    def assign(self, v: int, val: int) -> Event:
+    def assign(self, v: int, val: int) -> int:
         """Fix v to val; equivalent to tighten_lb then tighten_ub."""
         ev = self.tighten_lb(v, val)
         if self.failed:
             return _NONE
         return ev | self.tighten_ub(v, val)
 
-    def take_events(self) -> list[tuple[int, Event]]:
+    def take_events(self) -> list[tuple[int, int]]:
         """Drain and return all undispatched (var, event) pairs."""
         out = self._events
         if out:

@@ -6,11 +6,13 @@ strictly greater. This module provides
 
 * `lb_fix` / `ub_fix`: single-pass bound filters for one variable triple,
 * a three-variable propagator (`UltrametricThree`) that reaches bounds
-  consistency per wake and detects entailment,
+  consistency per wake and detects entailment; the tests use it as the
+  reference for the matrix propagator,
 * a whole-matrix propagator (`UltrametricMatrix`) that enforces the
   relation over every index triple of a symmetric matrix of variables
   while storing only one propagator object (constant code representation
-  instead of an n-choose-3 constraint list), and
+  instead of an n-choose-3 constraint list), applying the per-triple
+  closed forms over two matrix rows per wake, and
 * a deliberately weak disjunctive propagator (`DelayedDisjunctionUm3`)
   that only filters once a single disjunct remains bound-feasible; it
   exists to demonstrate why the specialised propagator is needed.
@@ -22,7 +24,11 @@ relation. Upper bounds enjoy no such property.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import itemgetter, ne
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .engine import Engine, Propagator, Wake
 from .store import Event, Store
@@ -75,7 +81,7 @@ def ub_fix(store: Store, x: int, y: int, z: int) -> None:
             store.tighten_ub(c, su)
 
 
-def um3_apply(store: Store, x: int, y: int, z: int, events: Event) -> None:
+def um3_apply(store: Store, x: int, y: int, z: int, events: int) -> None:
     """Run the bound filters demanded by the coalesced event kinds.
 
     A lower-bound change can invalidate both lower and upper bounds, so
@@ -91,7 +97,7 @@ def um3_apply(store: Store, x: int, y: int, z: int, events: Event) -> None:
         ub_fix(store, x, y, z)
 
 
-def um3_wake(store: Store, x: int, y: int, z: int, events: Event) -> Wake:
+def um3_wake(store: Store, x: int, y: int, z: int, events: int) -> Wake:
     """One propagator wake over a variable triple.
 
     Returns ENTAILED as soon as at least two of the three domains are
@@ -117,7 +123,7 @@ class UltrametricThree(Propagator):
         super().__init__((x, y, z))
         self.x, self.y, self.z = x, y, z
 
-    def wake(self, store: Store, var: Optional[int], events: Event) -> Wake:
+    def wake(self, store: Store, var: Optional[int], events: int) -> Wake:
         return um3_wake(store, self.x, self.y, self.z, events)
 
 
@@ -134,9 +140,15 @@ class MrcaMatrix:
     species i and j; the diagonal is the constant 0 and is not stored.
     Off-diagonal domains start at [1, n-1]. cell(i, j) and cell(j, i)
     are the same variable by construction.
+
+    `rows[i][k]` is the variable of cell (i, k), and `row_bounds[i]`
+    reads a bound list (`store.lbs` or `store.ubs`) over row i in one
+    call. The diagonal slot rows[i][i] repeats another cell of row i, so
+    a row's minimum and maximum see only real cells; `cell_ids` is the
+    same table as an n x n index array.
     """
 
-    __slots__ = ("store", "labels", "n", "index", "cell_vars", "_base", "_pos")
+    __slots__ = ("store", "labels", "n", "index", "cell_vars", "rows", "row_bounds", "cell_ids", "_pairs")
 
     def __init__(self, store: Store, labels: Sequence[str]):
         labels = tuple(labels)
@@ -149,52 +161,65 @@ class MrcaMatrix:
         self.labels = labels
         self.n = n
         self.index = {lab: i for i, lab in enumerate(labels)}
-        # row base so that cell (i, j) with i < j lives at _base[i] + j
-        self._base = [i * n - (i * (i + 1)) // 2 - i - 1 for i in range(n)]
         self.cell_vars = [store.new_var(1, n - 1) for _ in range(n * (n - 1) // 2)]
-        self._pos = {}
-        k = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                self._pos[self.cell_vars[k]] = (i, j)
-                k += 1
+        # cell_vars[k] is the pair _pairs[k]; the ids are consecutive
+        self._pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        rows = [[0] * n for _ in range(n)]
+        for v, (i, j) in zip(self.cell_vars, self._pairs):
+            rows[i][j] = rows[j][i] = v
+        for i, row in enumerate(rows):
+            row[i] = row[i - 1]
+        self.rows = rows
+        self.row_bounds = [itemgetter(*row) for row in rows]
+        self.cell_ids = np.array(rows, dtype=np.intp)
 
     def cell(self, i: int, j: int) -> int:
         """Variable id of the unordered pair {i, j}, i != j."""
-        if i > j:
-            i, j = j, i
-        elif i == j:
+        if i == j:
             raise ValueError("diagonal cells are the constant 0, not variables")
-        return self.cell_vars[self._base[i] + j]
+        return self.rows[i][j]
 
     def cell_by_label(self, a: str, b: str) -> int:
         return self.cell(self.index[a], self.index[b])
 
     def index_of(self, var: int) -> tuple[int, int]:
-        return self._pos[var]
+        k = var - self.cell_vars[0]
+        if not 0 <= k < len(self._pairs):
+            raise KeyError(var)
+        return self._pairs[k]
 
-    def lower_bounds(self):
+    def lower_bounds(self) -> np.ndarray:
         """Current lb of every cell as a full symmetric n x n array."""
-        import numpy as np
-
-        m = np.zeros((self.n, self.n), dtype=int)
-        lbs = self.store.lbs
-        k = 0
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                m[i, j] = m[j, i] = lbs[self.cell_vars[k]]
-                k += 1
+        m = np.asarray(self.store.lbs)[self.cell_ids]
+        np.fill_diagonal(m, 0)
         return m
 
 
 class UltrametricMatrix(Propagator):
     """Single propagator keeping a whole MrcaMatrix ultrametric.
 
-    On an event at cell (i, j) it sweeps k over all other indices and
-    applies the triple filters to (M_ij, M_ik, M_jk) - linear work per
-    event instead of waking a cubic number of triple propagators. The
-    initial wake does nothing: cells are constructed at [1, n-1], which
-    is already bounds-consistent (all-equal tuples support every bound).
+    An event at cell x = (i, j) concerns the n-2 triples (x, u_k, w_k)
+    with u_k = M[i,k] and w_k = M[j,k]. Per triple, bounds consistency
+    has two closed forms, which reach the same fixpoint as iterating
+    lb_fix and ub_fix:
+
+    * lower bounds: lb(v) >= min(lb(u), lb(w)) for every member v and
+      the two others u, w;
+    * upper bounds: ub(v) <= ub(u) whenever lb(w) > ub(u).
+
+    A wake applies, over rows i and j at once, the instances whose
+    premise reads the bound of x that changed: after MIN, the lb-rule
+    for u_k and w_k and the ub-rule with w = x; after MAX, the ub-rule
+    with u = x. Every other instance reads only u_k and w_k, and the
+    wake of whichever of them changed last applied it. Each narrowing
+    goes through the store, so its event wakes the narrowed cell's rows
+    in turn. Rows are read and compared with C-level builtins; a Python
+    loop visits only the slots these filters flag, and none when no
+    triple can narrow.
+
+    The initial wake does nothing: cells are constructed at [1, n-1],
+    which is already bounds-consistent (all-equal tuples support every
+    bound).
     """
 
     __slots__ = ("matrix",)
@@ -203,27 +228,59 @@ class UltrametricMatrix(Propagator):
         super().__init__(matrix.cell_vars)
         self.matrix = matrix
 
-    def wake(self, store: Store, var: Optional[int], events: Event) -> Wake:
+    def wake(self, store: Store, var: Optional[int], events: int) -> Wake:
         if var is None:
             return Wake.PROGRESS
         mat = self.matrix
         i, j = mat.index_of(var)
-        n = mat.n
-        cells = mat.cell_vars
-        base = mat._base
-        run_lb = bool(events & _LB_EVENTS)
-        for k in range(n):
-            if k == i or k == j:
-                continue
-            b = cells[base[i] + k] if i < k else cells[base[k] + i]
-            c = cells[base[j] + k] if j < k else cells[base[k] + j]
-            if run_lb:
-                lb_fix(store, var, b, c)
-                if store.failed:
-                    return Wake.PROGRESS
-            ub_fix(store, var, b, c)
+        row_i, row_j = mat.row_bounds[i], mat.row_bounds[j]
+        ids_u, ids_w = mat.rows[i], mat.rows[j]
+        lbs, ubs = store.lbs, store.ubs
+        a, A = lbs[var], ubs[var]
+        # slot k holds u_k resp. w_k; slots i and j are no triple and are
+        # masked out or skipped
+        lu, lw = row_i(lbs), row_j(lbs)
+        if events & _LB_EVENTS:
+            # lb(u) >= min(lb(x), lb(w)) and lb(w) >= min(lb(x), lb(u)):
+            # where the two differ below lb(x), the smaller rises
+            mask = list(map(ne, lu, lw))
+            mask[i] = mask[j] = False
+            tighten = store.tighten_lb
+            for k in compress(range(len(mask)), mask):
+                p, q = lu[k], lw[k]
+                if p < q:
+                    if p < a:
+                        tighten(ids_u[k], q if q < a else a)
+                elif q < a:
+                    tighten(ids_w[k], p if p < a else a)
             if store.failed:
                 return Wake.PROGRESS
+            # lb(x) > ub(w) makes u = w the tied minimum: ub(u) <= ub(w),
+            # and likewise with u and w swapped
+            uu, uw = row_i(ubs), row_j(ubs)
+            if min(uu) < a or min(uw) < a:
+                mask = list(map(ne, uu, uw))
+                mask[i] = mask[j] = False
+                tighten = store.tighten_ub
+                for k in compress(range(len(mask)), mask):
+                    p, q = uu[k], uw[k]
+                    if p < q:
+                        if p < a:
+                            tighten(ids_w[k], p)
+                    elif q < a:
+                        tighten(ids_u[k], q)
+                if store.failed:
+                    return Wake.PROGRESS
+        if events & Event.MAX and (max(lu) > A or max(lw) > A):
+            # lb(w) > ub(x) makes x = u the tied minimum: ub(u) <= ub(x),
+            # and likewise with u and w swapped
+            tighten = store.tighten_ub
+            for k in range(len(lu)):
+                if k != i and k != j:
+                    if lw[k] > A:
+                        tighten(ids_u[k], A)
+                    if lu[k] > A:
+                        tighten(ids_w[k], A)
         return Wake.PROGRESS
 
 
@@ -257,7 +314,7 @@ class DelayedDisjunctionUm3(Propagator):
         hi = min(store.ubs[u], store.ubs[v])
         return lo <= hi and store.ubs[top] >= lo + 1
 
-    def wake(self, store: Store, var: Optional[int], events: Event) -> Wake:
+    def wake(self, store: Store, var: Optional[int], events: int) -> Wake:
         x, y, z = self.x, self.y, self.z
         lbs, ubs = store.lbs, store.ubs
         feas = [

@@ -117,6 +117,18 @@ def test_check_tree_against_itself(tmp_path, capsys):
     assert main(["check", f1, f1]) == 0
 
 
+def test_check_crash_is_internal_error_not_a_verdict(tmp_path, capsys):
+    # a 1,200-deep caterpillar overflows the recursive tree walks; the
+    # crash must not exit 1, which means "does not display"
+    newick = "s0"
+    for i in range(1, 1201):
+        newick = f"({newick},s{i})"
+    cat = _write(tmp_path, "cat.nwk", newick + ";\n")
+    assert main(["check", cat, cat]) == 4
+    _, err = capsys.readouterr()
+    assert err.startswith("error: RecursionError: ")
+
+
 def test_check_detects_non_display(tmp_path, capsys):
     sup = _write(tmp_path, "s.nwk", "((a,b),c);\n")
     inp = _write(tmp_path, "i.nwk", "((a,c),b);\n")

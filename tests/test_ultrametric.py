@@ -1,21 +1,31 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
-import umtree.ultrametric as um
 from umtree import (
+    DateBounds,
     Engine,
     Event,
+    PhyloTree,
+    Predates,
     PropagateResult,
+    RankAssign,
     Store,
+    hard_breakup,
     post_delayed_disjunction_um3,
     post_um3,
     post_um_matrix,
+    random_tree,
+    restrict_and_suppress,
+    species_labels,
+    tree_to_matrix,
 )
 from umtree.engine import Wake
 from umtree.relations import post_atom
 from umtree.phylo import Fan, Triple
+from umtree.supertree import apply_side
 from umtree.ultrametric import MrcaMatrix, UltrametricMatrix, lb_fix, ub_fix, um3_wake
 
 from oracles import all_boxes, bcz_box_oracle, ultrametric_tuples, um3_fixpoint
@@ -280,22 +290,154 @@ def test_matrix_propagator_is_single_and_subscriptions_quadratic():
     assert total_subs == 10 * 9 // 2  # one subscription per cell, no triple list
 
 
-def test_matrix_wake_cost_linear(monkeypatch):
-    # one event at one cell applies the triple filters to exactly n-2 triples
-    counts = {"lb": 0}
-    orig = um.lb_fix
+def test_matrix_wake_narrows_only_its_rows_like_the_triple_wakes():
+    # one event at cell (i, j) concerns exactly the n-2 triples
+    # (M_ij, M_ik, M_jk): from a fixpoint, one matrix wake narrows only
+    # cells of rows i and j and reaches the domains of one um3_wake per
+    # triple
+    narrowed = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        n = 12
+        s, e, m = _matrix_engine(n)
+        p = post_um_matrix(e, m)
+        for a in _random_atoms(list(m.labels), rng, rng.randint(2, 12)):
+            post_atom(e, m, a)
+        if e.propagate() is PropagateResult.FAILURE:
+            continue
+        i, j = rng.sample(range(n), 2)
+        x = m.cell(i, j)
+        lo, hi = s.domain(x)
+        if lo == hi:
+            continue
+        if rng.random() < 0.5:
+            ev = s.tighten_lb(x, rng.randint(lo + 1, hi))
+        else:
+            ev = s.tighten_ub(x, rng.randint(lo, hi - 1))
+        s.take_events()
+        before = (list(s.lbs), list(s.ubs))
+        cp = s.checkpoint()
 
-    def counted(store, x, y, z):
-        counts["lb"] += 1
-        return orig(store, x, y, z)
+        p.wake(s, x, ev)
+        got = (s.failed, list(s.lbs), list(s.ubs))
+        s.restore(cp)
+        for k in range(n):
+            if k != i and k != j and not s.failed:
+                um3_wake(s, x, m.cell(i, k), m.cell(j, k), ev)
+        want = (s.failed, list(s.lbs), list(s.ubs))
+        assert got[0] == want[0], seed
+        if got[0]:
+            continue
+        assert got == want, seed
+        changed = {v for v in range(s.num_vars) if (got[1][v], got[2][v]) != (before[0][v], before[1][v])}
+        rows = {m.cell(i, k) for k in range(n) if k != i} | {m.cell(j, k) for k in range(n) if k != j}
+        assert changed <= rows
+        narrowed += bool(changed)
+    assert narrowed > 20  # the sample exercises narrowing wakes
 
-    monkeypatch.setattr(um, "lb_fix", counted)
-    s, e, m = _matrix_engine(12)
-    p = post_um_matrix(e, m)
-    e.propagate()
-    counts["lb"] = 0
-    p.wake(s, m.cell(2, 5), Event.MIN)
-    assert counts["lb"] == 12 - 2
+
+def test_matrix_closed_forms_equal_um3_on_every_box_triple():
+    # every triple of domains within [1, 5] (3,375 cases): the matrix
+    # propagator's closed forms on the cells of species 0, 1, 2 reach the
+    # fixpoint of iterating um3_apply; the other cells span [1, 5] and
+    # stay consistent
+    boxes = [(lo, hi) for lo in range(1, 6) for hi in range(lo, 6)]
+    for triple in itertools.product(boxes, repeat=3):
+        s, e, m = _matrix_engine(6)
+        post_um_matrix(e, m)
+        cells = (m.cell(0, 1), m.cell(0, 2), m.cell(1, 2))
+        for v, (lo, hi) in zip(cells, triple):
+            s.tighten_lb(v, lo)
+            s.tighten_ub(v, hi)
+        if e.propagate() is PropagateResult.FAILURE:
+            got = None
+        else:
+            got = tuple(s.domain(v) for v in cells)
+            assert all(s.domain(v) == (1, 5) for v in m.cell_vars if v not in cells)
+        assert got == um3_fixpoint(triple), triple
+
+
+def _ranked(tree, depth=1):
+    """The tree with every internal node ranked by its depth (root 1)."""
+    if tree.is_leaf:
+        return tree
+    return PhyloTree(tuple(_ranked(c, depth + 1) for c in tree.children), rank=depth)
+
+
+def _sided_instance(seed):
+    """Atoms and side constraints over n = 12..20 species.
+
+    Inputs are restrictions of one master tree, and the sides agree with
+    its mrca depths: Predates, DateBounds and a rank assignment of a
+    ranked restriction. Every third instance gets one side that
+    contradicts the master.
+    """
+    rng = random.Random(seed)
+    n = 12 + seed % 9
+    labels = species_labels(n)
+    master = _ranked(random_tree(labels, rng))
+    depth = tree_to_matrix(master)
+    trees = [restrict_and_suppress(master, rng.sample(labels, rng.randint(4, n // 2))) for _ in range(3)]
+    atoms = sorted({a for t in trees for a in hard_breakup(t)}, key=str)
+    sides = [RankAssign(restrict_and_suppress(master, rng.sample(labels, 5)))]
+    for _ in range(4):
+        a, b, c, d = rng.sample(labels, 4)
+        if depth.value(a, b) < depth.value(c, d):
+            sides.append(Predates(a, b, c, d))
+        a, b = rng.sample(labels, 2)
+        v = depth.value(a, b)
+        sides.append(DateBounds(a, b, max(1, v - rng.randint(0, 2)), min(n - 1, v + rng.randint(0, 3))))
+    if seed % 3 == 0:
+        a, b = rng.sample(labels, 2)
+        v = depth.value(a, b)
+        sides.append(DateBounds(a, b, v + 1, n - 1) if v < n - 1 else DateBounds(a, b, 1, v - 1))
+    return labels, atoms, sides
+
+
+def _sided_fixpoint(labels, atoms, sides, decomposed, queue_rng):
+    s = Store()
+    e = Engine(s, rng=queue_rng)
+    m = MrcaMatrix(s, labels)
+    if decomposed:
+        _decomposed(e, m)
+    else:
+        post_um_matrix(e, m)
+    for a in atoms:
+        post_atom(e, m, a)
+    model = SimpleNamespace(store=s, engine=e, cell=m.cell_by_label)
+    for side in sides:
+        apply_side(model, side)
+    if e.propagate() is PropagateResult.FAILURE:
+        return None
+    return [s.domain(v) for v in m.cell_vars]
+
+
+@pytest.mark.parametrize("seed", range(18))
+def test_matrix_equals_decomposition_with_sides(seed):
+    # n = 12..20 with Predates, DateBounds and ranks, which drive the
+    # upper-bound rules; FIFO and random queue order
+    labels, atoms, sides = _sided_instance(seed)
+    want = _sided_fixpoint(labels, atoms, sides, True, None)
+    assert _sided_fixpoint(labels, atoms, sides, False, None) == want
+    for qseed in (1, 2):
+        assert _sided_fixpoint(labels, atoms, sides, False, random.Random(qseed)) == want
+
+
+def test_sided_instances_cover_both_outcomes_and_upper_bound_rules(monkeypatch):
+    ub_wakes = 0
+    wake = UltrametricMatrix.wake
+
+    def counting_wake(self, store, var, events):
+        nonlocal ub_wakes
+        before = list(store.ubs)
+        outcome = wake(self, store, var, events)
+        ub_wakes += store.ubs != before
+        return outcome
+
+    monkeypatch.setattr(UltrametricMatrix, "wake", counting_wake)
+    outcomes = [_sided_fixpoint(*_sided_instance(seed), False, None) for seed in range(18)]
+    assert any(o is None for o in outcomes) and any(o is not None for o in outcomes)
+    assert ub_wakes > 50  # matrix wakes that lowered an upper bound
 
 
 # -- delayed disjunction demonstrator -------------------------------------------
