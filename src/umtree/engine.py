@@ -130,8 +130,7 @@ class Engine:
                 if q.entailed:
                     continue
                 pend = q._pending
-                prev = pend.get(var)
-                pend[var] = ev if prev is None else prev | ev
+                pend[var] = pend.get(var, 0) | ev  # store events are never 0
                 if not q._queued:
                     q._queued = True
                     queue.append(q)

@@ -337,29 +337,41 @@ class UltrametricIntMatrix:
         return int(self.values[index[a], index[b]])
 
 
+def mrca_pairs(tree: PhyloTree) -> Iterator[tuple[str, str, PhyloTree, int]]:
+    """Every leaf pair (a, b) with its mrca and the mrca's depth (root 1).
+
+    One iterative post-order walk (depth_labels reversed puts every node
+    after its descendants, children in order), so deep trees cannot
+    overflow the stack.
+    """
+    depths = depth_labels(tree)
+    under: dict[PhyloTree, list[str]] = {}
+    for nd in reversed(depths):
+        if nd.is_leaf:
+            under[nd] = [nd.label]
+            continue
+        groups = [under.pop(c) for c in nd.children]
+        depth = depths[nd]
+        for gi, ga in enumerate(groups):
+            for gb in groups[gi + 1:]:
+                for a in ga:
+                    for b in gb:
+                        yield a, b, nd, depth
+        merged = groups[0]
+        for g in groups[1:]:
+            merged.extend(g)
+        under[nd] = merged
+
+
 def tree_to_matrix(tree: PhyloTree) -> UltrametricIntMatrix:
     """Depth label of the mrca of every leaf pair (root depth 1)."""
     labels = tuple(sorted(leaf_labels(tree)))
     index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    m = np.zeros((n, n), dtype=int)
-
-    def collect(nd: PhyloTree, depth: int) -> list[int]:
-        if nd.is_leaf:
-            return [index[nd.label]]
-        groups = [collect(c, depth + 1) for c in nd.children]
-        for gi in range(len(groups)):
-            for gj in range(gi + 1, len(groups)):
-                for a in groups[gi]:
-                    for b in groups[gj]:
-                        m[a, b] = m[b, a] = depth
-        merged: list[int] = []
-        for g in groups:
-            merged.extend(g)
-        return merged
-
-    collect(tree, 1)
-    return UltrametricIntMatrix(labels, m)
+    rows = [[0] * len(labels) for _ in labels]  # list writes beat numpy item writes
+    for a, b, _, depth in mrca_pairs(tree):
+        i, j = index[a], index[b]
+        rows[i][j] = rows[j][i] = depth
+    return UltrametricIntMatrix(labels, np.array(rows, dtype=int))
 
 
 def _components(adj: np.ndarray) -> list[np.ndarray]:

@@ -67,17 +67,16 @@ class Equal(Propagator):
         self.vars = vars_
 
     def wake(self, store: Store, var: Optional[int], events: int) -> Wake:
-        lbs, ubs = store.lbs, store.ubs
-        lo = max(lbs[v] for v in self.vars)
-        hi = min(ubs[v] for v in self.vars)
-        for v in self.vars:
+        vs = self.vars
+        lo = max(map(store.lbs.__getitem__, vs))
+        hi = min(map(store.ubs.__getitem__, vs))
+        for v in vs:
             store.tighten_lb(v, lo)
             store.tighten_ub(v, hi)
             if store.failed:
                 return Wake.PROGRESS
-        if all(lbs[v] == ubs[v] for v in self.vars):
-            return Wake.ENTAILED
-        return Wake.PROGRESS
+        # every bound now reads [lo, hi], so all are fixed exactly when lo == hi
+        return Wake.ENTAILED if lo == hi else Wake.PROGRESS
 
 
 def post_lt(engine: Engine, a: int, b: int) -> Less:

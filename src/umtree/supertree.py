@@ -30,6 +30,7 @@ from .phylo import (
     leaf,
     leaf_labels,
     matrix_to_tree,
+    mrca_pairs,
     node,
     perfectly_displays,
     soft_breakup,
@@ -220,25 +221,15 @@ def apply_ranks(model: SupertreeModel, tree: PhyloTree) -> None:
     Requires a fully ranked tree whose ranks strictly increase towards
     the leaves; conflicts with earlier constraints just fail the store.
     """
-    def walk(nd: PhyloTree, parent_rank: int | None) -> list[str]:
+    for nd in iter_nodes(tree):
         if nd.is_leaf:
-            return [nd.label]
+            continue
         if nd.rank is None:
             raise ValueError("ranked tree has an unranked internal node")
-        if parent_rank is not None and nd.rank <= parent_rank:
+        if any(not c.is_leaf and c.rank is not None and c.rank <= nd.rank for c in nd.children):
             raise ValueError("ranks must strictly increase away from the root")
-        groups = [walk(c, nd.rank) for c in nd.children]
-        for gi in range(len(groups)):
-            for gj in range(gi + 1, len(groups)):
-                for a in groups[gi]:
-                    for b in groups[gj]:
-                        model.store.assign(model.cell(a, b), nd.rank)
-        merged: list[str] = []
-        for g in groups:
-            merged.extend(g)
-        return merged
-
-    walk(tree, None)
+    for a, b, mrca, _ in mrca_pairs(tree):
+        model.store.assign(model.cell(a, b), mrca.rank)
 
 
 # -- building -----------------------------------------------------------------
@@ -278,25 +269,33 @@ def _alternatives(atom: Atom) -> list[Atom]:
     return [a for a in all_four if a != atom]
 
 
+def _propagates(model: SupertreeModel, atoms: Iterable[Atom]) -> bool:
+    """Post the atoms on the model's fixpoint, propagate, and undo both;
+    True when the posted model reached a fixpoint."""
+    engine = model.engine
+    cp = engine.checkpoint()
+    for a in atoms:
+        post_atom(engine, model.matrix, a)
+    ok = engine.propagate() is PropagateResult.FIXPOINT
+    engine.restore(cp)
+    return ok
+
+
 def necessity(forest: Forest, atom: Atom, mode: str = "hard") -> bool:
     """Does the atom hold in every supertree of the forest?
 
     The forest must be compatible (checked; PreconditionError otherwise).
     The negation of the atom is a disjunction of the three alternative
-    resolutions of its species triple; each is posted on a fresh model in
-    turn, and the atom is necessary exactly when all three fail.
+    resolutions of its species triple; each is probed in turn on the one
+    propagated model, and the atom is necessary exactly when all three fail.
     """
     for s in atom.species:
         if s not in forest.index:
             raise SpeciesNotFoundError(f"unknown species {s!r}")
-    if cp_build(build_model(forest, mode)) is None:
+    model = build_model(forest, mode)
+    if model.engine.propagate() is PropagateResult.FAILURE:
         raise PreconditionError("necessity requires a compatible forest")
-    for alt in _alternatives(atom):
-        model = build_model(forest, mode)
-        post_atom(model.engine, model.matrix, alt)
-        if model.engine.propagate() is PropagateResult.FIXPOINT:
-            return False
-    return True
+    return not any(_propagates(model, [alt]) for alt in _alternatives(atom))
 
 
 # -- greedy building ------------------------------------------------------------
@@ -384,27 +383,16 @@ def explain_conflict(forest: Forest, mode: str = "hard") -> ConflictCore:
     model = build_model(forest, mode, post_atoms=False)
     if model.matrix is None:
         raise PreconditionError("explain_conflict requires an incompatible forest")
-    engine = model.engine
-    res = engine.propagate()
+    res = model.engine.propagate()
     assert res is PropagateResult.FIXPOINT
-
-    probes = [0]
-
-    def consistent(atoms: Sequence[Atom]) -> bool:
-        cp = engine.checkpoint()
-        for a in atoms:
-            post_atom(engine, model.matrix, a)
-        ok = engine.propagate() is PropagateResult.FIXPOINT
-        engine.restore(cp)
-        return ok
-
-    if consistent(model.atoms):
+    if _propagates(model, model.atoms):
         raise PreconditionError("explain_conflict requires an incompatible forest")
+    probes = [0]
 
     def qx(base: list[Atom], delta: list[Atom], cands: list[Atom]) -> list[Atom]:
         if delta:
             probes[0] += 1
-            if not consistent(base):
+            if not _propagates(model, base):
                 return []
         if len(cands) == 1:
             return list(cands)
@@ -422,23 +410,15 @@ def explain_conflict(forest: Forest, mode: str = "hard") -> ConflictCore:
 # -- nested taxa -----------------------------------------------------------------
 
 
-def _enclosing_labels(trees: Sequence[PhyloTree]) -> set[str]:
-    out: set[str] = set()
-    for t in trees:
+def _taxon_index(trees: Sequence[PhyloTree]) -> dict[str, list[tuple[int, PhyloTree]]]:
+    """The (tree index, node) of every internal node carrying a taxon
+    label, by label, in tree order (labels are unique within a tree)."""
+    out: dict[str, list[tuple[int, PhyloTree]]] = {}
+    for ti, t in enumerate(trees):
         for nd in iter_nodes(t):
             if not nd.is_leaf and nd.label is not None:
-                out.add(nd.label)
+                out.setdefault(nd.label, []).append((ti, nd))
     return out
-
-
-def _find_subtree(trees: Sequence[PhyloTree], label: str, skip: int) -> PhyloTree | None:
-    for ti, t in enumerate(trees):
-        if ti == skip:
-            continue
-        for nd in iter_nodes(t):
-            if not nd.is_leaf and nd.label == label:
-                return nd
-    return None
 
 
 def _substitute_leaf(tree: PhyloTree, label: str, replacement: PhyloTree) -> PhyloTree:
@@ -463,14 +443,14 @@ def nested_preprocess(forest: Forest) -> Forest:
     NestedContradictionError.
     """
     trees = list(forest.trees)
-    budget = (len(_enclosing_labels(trees)) + 1) * len(trees) + 1
+    taxa = _taxon_index(trees)
+    budget = (len(taxa) + 1) * len(trees) + 1
     while True:
-        enclosing = _enclosing_labels(trees)
         pending = [
             (ti, nd.label)
             for ti, t in enumerate(trees)
             for nd in iter_nodes(t)
-            if nd.is_leaf and nd.label in enclosing
+            if nd.is_leaf and nd.label in taxa
         ]
         if not pending:
             break
@@ -478,7 +458,7 @@ def nested_preprocess(forest: Forest) -> Forest:
         if budget < 0:
             raise NestedContradictionError("taxa contain each other; substitution cannot finish")
         ti, label = pending[0]
-        source = _find_subtree(trees, label, skip=ti)
+        source = next((nd for tj, nd in taxa[label] if tj != ti), None)
         if source is None:
             raise NestedContradictionError(
                 f"taxon {label!r} is used as enclosing but no subtree defines it"
@@ -491,17 +471,16 @@ def nested_preprocess(forest: Forest) -> Forest:
                 f"substituting taxon {label!r} into tree {ti} duplicates labels: {e}"
             ) from None
         trees[ti] = candidate
+        taxa = _taxon_index(trees)
     return Forest.from_trees(trees)
 
 
 def taxa_descendants(forest: Forest) -> dict[str, frozenset[str]]:
     """Union over all trees of the leaf descendants of each enclosing taxon."""
-    out: dict[str, set[str]] = {}
-    for t in forest.trees:
-        for nd in iter_nodes(t):
-            if not nd.is_leaf and nd.label is not None:
-                out.setdefault(nd.label, set()).update(leaf_labels(nd))
-    return {lab: frozenset(s) for lab, s in out.items()}
+    return {
+        label: frozenset().union(*(leaf_labels(nd) for _, nd in scopes))
+        for label, scopes in _taxon_index(forest.trees).items()
+    }
 
 
 def apply_nested_taxa(model: SupertreeModel, forest: Forest) -> dict[str, int]:
@@ -513,28 +492,20 @@ def apply_nested_taxa(model: SupertreeModel, forest: Forest) -> dict[str, int]:
     the same tree. Input must be preprocessed (taxa on internal nodes).
     """
     n = forest.n
-    union_desc = taxa_descendants(forest)
-    for label in sorted(union_desc):
+    for label, scopes in sorted(_taxon_index(forest.trees).items()):
         v = model.store.new_var(1, n - 1)
         model.taxa_vars[label] = v
-        desc = sorted(union_desc[label])
+        insides = [(ti, leaf_labels(nd)) for ti, nd in scopes]
+        desc = sorted(frozenset().union(*(inside for _, inside in insides)))
         for i in range(len(desc)):
             for j in range(i + 1, len(desc)):
                 post_le(model.engine, v, model.cell(desc[i], desc[j]))
                 model.nested_posts.append(("le", label, (desc[i], desc[j])))
         seen_pairs: set[tuple[str, str]] = set()
-        for t in forest.trees:
-            scope = None
-            for nd in iter_nodes(t):
-                if not nd.is_leaf and nd.label == label:
-                    scope = nd
-                    break
-            if scope is None:
-                continue
-            inside = sorted(leaf_labels(scope))
-            outside = sorted(leaf_labels(t) - leaf_labels(scope))
-            for i in inside:
-                for j in outside:
+        for ti, inside in insides:
+            outside = leaf_labels(forest.trees[ti]) - inside
+            for i in sorted(inside):
+                for j in sorted(outside):
                     pair = (i, j) if i < j else (j, i)
                     if pair in seen_pairs:
                         continue
@@ -680,7 +651,7 @@ def build_supertree(
     model, and reattaches taxon labels with perfect-display verification.
     """
     t0 = time.perf_counter()
-    has_taxa = bool(_enclosing_labels(forest.trees))
+    has_taxa = bool(_taxon_index(forest.trees))
     if has_taxa:
         forest = nested_preprocess(forest)
     all_sides = list(sides)

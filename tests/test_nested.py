@@ -94,6 +94,29 @@ def test_generated_constraint_shapes():
     }
 
 
+def test_taxon_defined_twice_and_used_as_leaf():
+    # the leaf P in tree 0 takes the first definition in another tree
+    f = _forest("((P,e),f);", "((a,b)P,c);", "((b,g)P,d);")
+    pre = nested_preprocess(f)
+    assert [serialize_newick(t) for t in pre.trees] == [
+        "(((a,b)P,e),f);", "((a,b)P,c);", "((b,g)P,d);",
+    ]
+    assert taxa_descendants(pre) == {"P": {"a", "b", "g"}}
+    model = build_model(pre, "soft")
+    apply_nested_taxa(model, pre)
+    assert model.nested_posts == [
+        ("le", "P", ("a", "b")), ("le", "P", ("a", "g")), ("le", "P", ("b", "g")),
+        ("lt", "P", ("a", "e")), ("lt", "P", ("a", "f")),
+        ("lt", "P", ("b", "e")), ("lt", "P", ("b", "f")),
+        ("lt", "P", ("a", "c")), ("lt", "P", ("b", "c")),
+        ("lt", "P", ("b", "d")), ("lt", "P", ("d", "g")),
+    ]
+    outcome = build_supertree(f, "soft")
+    assert outcome.status == "compatible"
+    for t in pre.trees:
+        assert perfectly_displays(outcome.tree, t)
+
+
 def test_taxa_vars_have_full_domains():
     f = _fig20_forest()
     model = build_model(f, "soft")

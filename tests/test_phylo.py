@@ -7,6 +7,7 @@ from umtree import (
     Fan,
     NewickParseError,
     NotUltrametricError,
+    PhyloTree,
     Triple,
     UltrametricIntMatrix,
     all_rooted_trees,
@@ -16,6 +17,7 @@ from umtree import (
     displays,
     hard_breakup,
     isomorphic,
+    leaf,
     leaf_labels,
     matrix_to_tree,
     parse_atom,
@@ -124,6 +126,21 @@ def test_tree_to_matrix_examples():
     m = tree_to_matrix(parse_newick("((a,b),(c,d));"))
     assert m.value("a", "b") == 2 and m.value("c", "d") == 2
     assert m.value("a", "c") == m.value("b", "d") == 1
+
+
+def test_tree_to_matrix_deep_caterpillar_is_iterative():
+    # built from nodes, not parsed: parse_newick still recurses
+    n = 1500
+    t = leaf("s0000")
+    for i in range(1, n):
+        t = PhyloTree(children=(t, leaf(f"s{i:04d}")))
+    m = tree_to_matrix(t)
+    assert m.value("s0000", "s0001") == n - 1  # the deepest cherry
+    # leaf i > 0 joins the caterpillar at depth n - i
+    idx = np.arange(n)
+    want = n - np.maximum.outer(idx, idx)
+    np.fill_diagonal(want, 0)
+    assert (m.values == want).all()
 
 
 def test_matrix_to_tree_examples():

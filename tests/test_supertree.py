@@ -1,3 +1,4 @@
+import itertools
 import random
 import statistics
 
@@ -7,6 +8,7 @@ from umtree import (
     DateBounds,
     Fan,
     Forest,
+    PhyloTree,
     PreconditionError,
     Predates,
     PropagateResult,
@@ -25,12 +27,17 @@ from umtree import (
     greedy_build,
     hard_breakup,
     isomorphic,
+    leaf,
+    leaf_labels,
     necessity,
+    node,
     parse_newick,
+    post_atom,
     serialize_newick,
     tree_to_matrix,
 )
 from umtree.generate import random_forest, random_tree
+from umtree.phylo import iter_nodes
 from umtree.ultrametric import UltrametricMatrix
 
 from oracles import oracle_compatible, oracle_necessary, oracle_supertrees
@@ -194,6 +201,59 @@ def test_necessity_matches_oracle_random():
         want = oracle_necessary(list(forest.trees), species, atom)
         assert got == want
         checked += 1
+
+
+def _necessity_fresh_models(forest, atom, mode):
+    """Reference: a compatibility build, then each alternative resolution
+    of the atom's species triple on a fresh model of its own."""
+    if cp_build(build_model(forest, mode)) is None:
+        raise PreconditionError("incompatible forest")
+    x, y, z = atom.species
+    resolutions = {Triple.of(x, y, z), Triple.of(x, z, y), Triple.of(y, z, x), Fan.of(x, y, z)}
+    for alt in resolutions - {atom}:
+        model = build_model(forest, mode)
+        post_atom(model.engine, model.matrix, alt)
+        if model.engine.propagate() is PropagateResult.FIXPOINT:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_necessity_on_one_model_matches_fresh_models(mode):
+    rng = random.Random(31)
+    answers = {True: 0, False: 0}
+    for _ in range(6):
+        forest = Forest.from_trees(random_forest(rng.randint(12, 30), 4, 0.3, rng))
+        inputs = build_model(forest, mode).atoms
+        queries = rng.sample(inputs, 3)
+        while len(queries) < 7:
+            x, y, z = rng.sample(forest.species, 3)
+            atom = Triple.of(x, y, z) if rng.random() < 0.7 else Fan.of(x, y, z)
+            if atom not in inputs:
+                queries.append(atom)
+        for atom in queries:
+            got = necessity(forest, atom, mode)
+            assert got == _necessity_fresh_models(forest, atom, mode)
+            answers[got] += 1
+    assert answers[True] and answers[False]
+
+
+def test_necessity_builds_one_model(monkeypatch):
+    import umtree.supertree as st
+
+    built = []
+
+    class CountingModel(st.SupertreeModel):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(st, "SupertreeModel", CountingModel)
+    f = _forest("((a,b),c);", "((a,b),d);")
+    for atom, necessary in ((Triple.of("a", "b", "c"), True), (Triple.of("a", "c", "b"), False)):
+        built.clear()
+        assert necessity(f, atom, "hard") is necessary
+        assert len(built) == 1
 
 
 # -- greedy --------------------------------------------------------------------------
@@ -362,6 +422,32 @@ def test_apply_ranks_validates():
     model2 = build_model(f2, "soft")
     with pytest.raises(ValueError):
         apply_ranks(model2, f2.trees[0])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_apply_ranks_pins_cells_to_mrca_rank(seed):
+    # ranks 2*depth+1 differ from depths; a spare species block widens the
+    # [1, n-1] domains so that every rank fits
+    rng = random.Random(seed)
+    labels = [f"s{i}" for i in range(rng.randint(3, 14))]
+
+    def ranked(nd, depth):
+        if nd.is_leaf:
+            return nd
+        kids = tuple(ranked(c, depth + 1) for c in nd.children)
+        return PhyloTree(children=kids, rank=2 * depth + 1)
+
+    tree = ranked(random_tree(labels, rng), 1)
+    spare = node([leaf(f"x{i}") for i in range(2 * len(labels))])
+    model = build_model(Forest.from_trees([tree, spare]), "soft")
+    apply_ranks(model, tree)
+    assert not model.store.failed
+    internal = [nd for nd in iter_nodes(tree) if not nd.is_leaf]
+    for a, b in itertools.combinations(labels, 2):
+        # ranks grow with depth, so the mrca has the largest common rank
+        want = max(nd.rank for nd in internal if {a, b} <= leaf_labels(nd))
+        assert model.store.domain(model.cell(a, b)) == (want, want)
+    assert model.store.domain(model.cell("x0", "x1")) == (1, model.n - 1)
 
 
 def test_predates_example():
