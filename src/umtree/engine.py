@@ -2,10 +2,11 @@
 
 Propagators subscribe to variables; bound mutations raise domain events
 which the engine coalesces per propagator and dispatches FIFO until no
-propagator can narrow any domain (fixpoint) or the store fails. Events
-generated during a wake are buffered in the store and routed after the
-wake returns, so a propagator can re-wake itself. A propagator that
-declares entailment is never scheduled again.
+propagator can narrow any domain (fixpoint) or the store fails. A
+dequeued propagator is woken once with every variable that changed since
+its last wake. Events generated during a wake are buffered in the store
+and routed after the wake returns, so a propagator can re-wake itself. A
+propagator that declares entailment is never scheduled again.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import reduce
+from operator import or_
 from typing import Optional, Sequence
 
 from .store import Checkpoint, Event, Store
@@ -50,9 +53,11 @@ class RunStats:
 class Propagator:
     """Base class: narrows domains when woken by events on watched vars.
 
-    Subclasses implement wake(store, var, events) and may only narrow
-    domains. `var` is None exactly once, for the initial wake right after
-    registration; event kinds are then MIN | MAX so a full filter runs.
+    Subclasses implement wake(store, changed, events) and may only narrow
+    domains. `changed` maps every watched variable that changed since the
+    last wake to its coalesced event mask, and `events` is the union of
+    those masks. The key None stands for the initial wake right after
+    registration, with event kinds MIN | MAX so a full filter runs.
     """
 
     __slots__ = ("watched", "wake_count", "entailed", "_queued", "_pending")
@@ -64,7 +69,7 @@ class Propagator:
         self._queued = False
         self._pending: dict[Optional[int], int] = {}
 
-    def wake(self, store: Store, var: Optional[int], events: int) -> Wake:
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> Wake:
         raise NotImplementedError
 
 
@@ -78,9 +83,10 @@ class EngineCheckpoint:
 class Engine:
     """One scheduler per store. Not shared across threads.
 
-    `rng`, when given, dequeues in random order instead of FIFO; the
-    fixpoint is the same for monotone propagators (used to test
-    confluence), so ordering is a performance choice only.
+    Each dequeue is one wake (and one count in `RunStats.wakes`), however
+    many variables changed. `rng`, when given, dequeues in random order
+    instead of FIFO; the fixpoint is the same for monotone propagators
+    (used to test confluence), so ordering is a performance choice only.
     """
 
     def __init__(self, store: Store, rng=None) -> None:
@@ -156,23 +162,13 @@ class Engine:
                 return PropagateResult.FIXPOINT
             p = self._pop()
             p._queued = False
-            if p.entailed:
-                p._pending.clear()
-                continue
-            batch = p._pending
+            changed = p._pending
             p._pending = {}
-            for var, ev in batch.items():
-                p.wake_count += 1
-                stats.wakes += 1
-                outcome = p.wake(store, var, ev)
-                self._route_events()
-                if store.failed:
-                    stats.failures += 1
-                    return PropagateResult.FAILURE
-                if outcome is Wake.ENTAILED:
-                    p.entailed = True
-                    self._entail_trail.append(p)
-                    break
+            p.wake_count += 1
+            stats.wakes += 1
+            if p.wake(store, changed, reduce(or_, changed.values())) is Wake.ENTAILED:
+                p.entailed = True
+                self._entail_trail.append(p)
 
     # -- checkpoints ------------------------------------------------------
 

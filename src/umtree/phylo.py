@@ -14,6 +14,8 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, groupby
+from operator import itemgetter, not_
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -374,25 +376,6 @@ def tree_to_matrix(tree: PhyloTree) -> UltrametricIntMatrix:
     return UltrametricIntMatrix(labels, np.array(rows, dtype=int))
 
 
-def _components(adj: np.ndarray) -> list[np.ndarray]:
-    """Connected components of a small dense boolean adjacency matrix."""
-    k = adj.shape[0]
-    unseen = np.ones(k, dtype=bool)
-    comps = []
-    while unseen.any():
-        seed = int(np.argmax(unseen))
-        comp = np.zeros(k, dtype=bool)
-        comp[seed] = True
-        frontier = comp.copy()
-        while frontier.any():
-            reach = adj[frontier].any(axis=0) & ~comp
-            comp |= reach
-            frontier = reach
-        comps.append(np.flatnonzero(comp))
-        unseen &= ~comp
-    return comps
-
-
 def _find_violating_triple(values: np.ndarray) -> tuple[int, int, int]:
     n = values.shape[0]
     for i in range(n):
@@ -405,36 +388,100 @@ def _find_violating_triple(values: np.ndarray) -> tuple[int, int, int]:
     raise AssertionError("no violating triple found")
 
 
+def _clade_order(rows: list[list[int]]) -> list[int]:
+    """Leaf indices in depth-first order, children by their smallest leaf.
+
+    A clade's smallest leaf p splits the rest by its row: the leaves
+    whose mrca with p lies at depth d form the sibling clades of p's
+    ancestor at depth d, deepest first. Within such a group the smallest
+    remaining leaf q takes along the leaves that sit deeper than d with
+    it. Exact for an ultrametric; any other input still yields a
+    permutation, which the read-off's pair check then rejects.
+    """
+    order: list[int] = []
+    stack: list[tuple[list[int], int | None]] = [(list(range(len(rows))), None)]
+    while stack:
+        leaves, d = stack.pop()
+        if d is not None:  # sibling clades at depth d: split off the first
+            q, tail = leaves[0], leaves[1:]
+            inside = list(map(d.__lt__, map(rows[q].__getitem__, tail)))
+            rest = list(compress(tail, map(not_, inside)))
+            if rest:
+                stack.append((rest, d))
+            stack.append(([q, *compress(tail, inside)], None))
+            continue
+        p = leaves[0]
+        order.append(p)
+        if len(leaves) > 1:
+            depth = rows[p].__getitem__
+            ranked = sorted(leaves[1:], key=depth, reverse=True)  # stable: ties stay ascending
+            stack.extend(reversed([(list(group), k) for k, group in groupby(ranked, depth)]))
+    return order
+
+
+def _cross_pairs_equal(m: list[tuple[int, ...]], d: int, starts: list[int], end: int) -> bool:
+    """Whether every pair of leaves in different child runs reads d.
+
+    Child k covers positions starts[k] up to the next start (or end) of
+    the leaf order. Each child is compared with all later ones from
+    whichever side has fewer leaves, one C-level count per leaf.
+    """
+    for lo, hi in zip(starts, starts[1:]):
+        if hi - lo <= end - hi:
+            for a in range(lo, hi):
+                if m[a][hi:end].count(d) != end - hi:
+                    return False
+        else:
+            for b in range(hi, end):
+                if m[b][lo:hi].count(d) != hi - lo:
+                    return False
+    return True
+
+
 def matrix_to_tree(matrix: UltrametricIntMatrix) -> PhyloTree:
     """The unique tree whose mrca depths reproduce the matrix.
 
     Only comparisons between entries are used, so matrices equal up to a
-    strictly increasing relabelling of values give isomorphic trees. At
-    each level the leaves split along the classes of "strictly deeper
-    than the minimum"; a level that does not split has no tie for the
-    minimum somewhere, and the input is rejected with a violating triple.
+    strictly increasing relabelling of values give isomorphic trees. The
+    leaves are put in depth-first order (`_clade_order`), so every clade
+    is a run, and each clade's depth is the smallest entry between
+    neighbours inside its run. One stack pass over the neighbours then
+    builds the tree and checks every leaf pair once, at its mrca. A pair
+    that does not read its mrca's depth means some triple has no tie for
+    the minimum, and the input is rejected with a violating triple.
+    O(n^2) entry reads, no recursion.
     """
-    values = matrix.values
-    if matrix.n > 1:
-        off = values[~np.eye(matrix.n, dtype=bool)]
-        if (off <= 0).any():
-            raise ValueError("off-diagonal entries must be positive")
-
-    def build(idx: np.ndarray) -> PhyloTree:
-        if len(idx) == 1:
-            return leaf(matrix.labels[int(idx[0])])
-        sub = values[np.ix_(idx, idx)]
-        k = len(idx)
-        m0 = int(sub[~np.eye(k, dtype=bool)].min())
-        comps = _components(sub > m0)
-        if len(comps) < 2:
-            i, j, t = _find_violating_triple(values)
-            raise NotUltrametricError((i, j, t))
-        return PhyloTree(children=tuple(build(idx[c]) for c in comps))
-
-    if matrix.n == 0:
+    n = matrix.n
+    rows = matrix.values.tolist()
+    if n > 1 and min(min(row[:i] + row[i + 1:]) for i, row in enumerate(rows)) <= 0:
+        raise ValueError("off-diagonal entries must be positive")
+    if n == 0:
         raise ValueError("empty matrix")
-    return build(np.arange(matrix.n))
+    labels = matrix.labels
+    if n == 1:
+        return leaf(labels[0])
+    order = _clade_order(rows)
+    in_order = itemgetter(*order)
+    m = [in_order(rows[q]) for q in order]  # m[a][b]: entry of the a-th and b-th leaf
+    stack: list[tuple[int, list[PhyloTree], list[int]]] = []  # open clades: depth, children, their starts
+    last, last_start = leaf(labels[order[0]]), 0
+    for t in range(1, n + 1):
+        h = m[t - 1][t] if t < n else 0  # 0 closes every clade
+        while stack and stack[-1][0] > h:
+            d, kids, starts = stack.pop()
+            kids.append(last)
+            starts.append(last_start)
+            if not _cross_pairs_equal(m, d, starts, t):
+                raise NotUltrametricError(_find_violating_triple(matrix.values))
+            last, last_start = PhyloTree(children=tuple(kids)), starts[0]
+        if t < n:
+            if stack and stack[-1][0] == h:
+                stack[-1][1].append(last)
+                stack[-1][2].append(last_start)
+            else:
+                stack.append((h, [last], [last_start]))
+            last, last_start = leaf(labels[order[t]]), t
+    return last
 
 
 # -- breakup ----------------------------------------------------------------
@@ -453,22 +500,23 @@ class _WorkNode:
 
 def _build_work_tree(tree: PhyloTree) -> tuple[_WorkNode, list[_WorkNode]]:
     """Mutable copy plus interior nodes in non-increasing depth order."""
-    counter = 0
     interior: list[_WorkNode] = []
-
-    def copy(nd: PhyloTree, depth: int) -> _WorkNode:
-        nonlocal counter
-        w = _WorkNode(nd.label if nd.is_leaf else None, depth, counter)
-        counter += 1
+    root = None
+    stack: list[tuple[PhyloTree, _WorkNode | None]] = [(tree, None)]
+    order = 0
+    while stack:  # preorder; order numbers the nodes as they are copied
+        nd, parent = stack.pop()
+        depth = 1 if parent is None else parent.depth + 1
+        w = _WorkNode(nd.label if nd.is_leaf else None, depth, order)
+        order += 1
+        if parent is None:
+            root = w
+        else:
+            w.parent = parent
+            parent.children.append(w)
         if not nd.is_leaf:
             interior.append(w)
-            for c in nd.children:
-                cw = copy(c, depth + 1)
-                cw.parent = w
-                w.children.append(cw)
-        return w
-
-    root = copy(tree, 1)
+            stack.extend((c, w) for c in reversed(nd.children))
     interior.sort(key=lambda w: (-w.depth, w.order))
     return root, interior
 

@@ -4,7 +4,9 @@ Triples and fans decompose onto these: a triple (xy)z becomes one strict
 inequality plus one binary equality over matrix cells, a fan becomes a
 ternary equality. Every relation here is min-closed (the pointwise
 minimum of two satisfying tuples satisfies it), which is what lets the
-supertree model read a solution straight off the lower bounds.
+supertree model read a solution straight off the lower bounds. Each wake
+filters from the current bounds of all its variables, so it ignores
+which of them changed.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class Less(Propagator):
         super().__init__((a, b))
         self.a, self.b = a, b
 
-    def wake(self, store: Store, var: Optional[int], events: int) -> Wake:
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> Wake:
         a, b = self.a, self.b
         store.tighten_lb(b, store.lbs[a] + 1)
         if store.failed:
@@ -46,7 +48,7 @@ class LessEq(Propagator):
         super().__init__((a, b))
         self.a, self.b = a, b
 
-    def wake(self, store: Store, var: Optional[int], events: int) -> Wake:
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> Wake:
         a, b = self.a, self.b
         store.tighten_lb(b, store.lbs[a])
         if store.failed:
@@ -66,7 +68,7 @@ class Equal(Propagator):
         super().__init__(vars_)
         self.vars = vars_
 
-    def wake(self, store: Store, var: Optional[int], events: int) -> Wake:
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> Wake:
         vs = self.vars
         lo = max(map(store.lbs.__getitem__, vs))
         hi = min(map(store.ubs.__getitem__, vs))

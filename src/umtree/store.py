@@ -11,6 +11,7 @@ number of mutations being undone.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 
@@ -57,17 +58,20 @@ class Store:
     """Pool of interval-domain integer variables with trail and event log.
 
     Variables are identified by dense integer ids. Bound reads go through
-    `lb`/`ub` (or the `lbs`/`ubs` lists directly in propagator hot paths);
-    both are constant-time. All mutations append undo records to the trail
-    and (var, event) pairs to an event log that the propagation engine
-    drains.
+    `lb`/`ub` (or the `lbs`/`ubs` arrays directly in propagator hot paths);
+    both are constant-time. The bounds are signed 64-bit `array`s, so a
+    propagator can read them through `np.frombuffer` without a copy; such
+    a view must not outlive the wake, because an array with a live view
+    cannot grow in `new_var`. All mutations append undo records to the
+    trail and (var, event) pairs to an event log that the propagation
+    engine drains.
     """
 
     __slots__ = ("lbs", "ubs", "failed", "_trail", "_events", "_cps")
 
     def __init__(self) -> None:
-        self.lbs: list[int] = []
-        self.ubs: list[int] = []
+        self.lbs = array("q")
+        self.ubs = array("q")
         self.failed = False
         self._trail: list[tuple[int, bool, int]] = []  # (var, is_lb, old value)
         self._events: list[tuple[int, int]] = []
@@ -109,15 +113,17 @@ class Store:
         """Raise lb(v) to val. No-op if val <= lb; fails if val > ub."""
         if self.failed:
             return _NONE
-        old = self.lbs[v]
+        lbs = self.lbs
+        old = lbs[v]
         if val <= old:
             return _NONE
-        if val > self.ubs[v]:
+        ub = self.ubs[v]
+        if val > ub:
             self.failed = True
             return _NONE
         self._trail.append((v, True, old))
-        self.lbs[v] = val
-        ev = _MIN_FIX if val == self.ubs[v] else _MIN
+        lbs[v] = val
+        ev = _MIN_FIX if val == ub else _MIN
         self._events.append((v, ev))
         return ev
 
@@ -125,15 +131,17 @@ class Store:
         """Lower ub(v) to val. No-op if val >= ub; fails if val < lb."""
         if self.failed:
             return _NONE
-        old = self.ubs[v]
+        ubs = self.ubs
+        old = ubs[v]
         if val >= old:
             return _NONE
-        if val < self.lbs[v]:
+        lb = self.lbs[v]
+        if val < lb:
             self.failed = True
             return _NONE
         self._trail.append((v, False, old))
-        self.ubs[v] = val
-        ev = _MAX_FIX if val == self.lbs[v] else _MAX
+        ubs[v] = val
+        ev = _MAX_FIX if val == lb else _MAX
         self._events.append((v, ev))
         return ev
 

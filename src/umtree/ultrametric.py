@@ -12,7 +12,7 @@ strictly greater. This module provides
   relation over every index triple of a symmetric matrix of variables
   while storing only one propagator object (constant code representation
   instead of an n-choose-3 constraint list), applying the per-triple
-  closed forms over two matrix rows per wake, and
+  closed forms to the two rows of every changed cell at once, and
 * a deliberately weak disjunctive propagator (`DelayedDisjunctionUm3`)
   that only filters once a single disjunct remains bound-feasible; it
   exists to demonstrate why the specialised propagator is needed.
@@ -24,8 +24,6 @@ relation. Upper bounds enjoy no such property.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import itemgetter, ne
 from typing import Optional, Sequence
 
 import numpy as np
@@ -113,7 +111,11 @@ def um3_wake(store: Store, x: int, y: int, z: int, events: int) -> Wake:
 
 
 class UltrametricThree(Propagator):
-    """Bounds-consistency propagator for one variable triple."""
+    """Bounds-consistency propagator for one variable triple.
+
+    A wake filters by the union of its events, whichever variables
+    changed.
+    """
 
     __slots__ = ("x", "y", "z")
 
@@ -123,7 +125,7 @@ class UltrametricThree(Propagator):
         super().__init__((x, y, z))
         self.x, self.y, self.z = x, y, z
 
-    def wake(self, store: Store, var: Optional[int], events: int) -> Wake:
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> Wake:
         return um3_wake(store, self.x, self.y, self.z, events)
 
 
@@ -141,14 +143,14 @@ class MrcaMatrix:
     Off-diagonal domains start at [1, n-1]. cell(i, j) and cell(j, i)
     are the same variable by construction.
 
-    `rows[i][k]` is the variable of cell (i, k), and `row_bounds[i]`
-    reads a bound list (`store.lbs` or `store.ubs`) over row i in one
-    call. The diagonal slot rows[i][i] repeats another cell of row i, so
-    a row's minimum and maximum see only real cells; `cell_ids` is the
-    same table as an n x n index array.
+    `rows[i][k]` is the variable of cell (i, k), and `cell_ids` is the
+    same table as an n x n index array; the diagonal slots hold 0, a
+    placeholder that every reader overwrites. The cell variables are
+    consecutive ids, and `pairs[v - cell_vars[0]]` is the index pair
+    (i, j), i < j, of cell variable v.
     """
 
-    __slots__ = ("store", "labels", "n", "index", "cell_vars", "rows", "row_bounds", "cell_ids", "_pairs")
+    __slots__ = ("store", "labels", "n", "index", "cell_vars", "rows", "cell_ids", "pairs")
 
     def __init__(self, store: Store, labels: Sequence[str]):
         labels = tuple(labels)
@@ -162,16 +164,13 @@ class MrcaMatrix:
         self.n = n
         self.index = {lab: i for i, lab in enumerate(labels)}
         self.cell_vars = [store.new_var(1, n - 1) for _ in range(n * (n - 1) // 2)]
-        # cell_vars[k] is the pair _pairs[k]; the ids are consecutive
-        self._pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         rows = [[0] * n for _ in range(n)]
-        for v, (i, j) in zip(self.cell_vars, self._pairs):
+        for v, (i, j) in zip(self.cell_vars, pairs):
             rows[i][j] = rows[j][i] = v
-        for i, row in enumerate(rows):
-            row[i] = row[i - 1]
         self.rows = rows
-        self.row_bounds = [itemgetter(*row) for row in rows]
         self.cell_ids = np.array(rows, dtype=np.intp)
+        self.pairs = np.array(pairs, dtype=np.intp)
 
     def cell(self, i: int, j: int) -> int:
         """Variable id of the unordered pair {i, j}, i != j."""
@@ -184,15 +183,46 @@ class MrcaMatrix:
 
     def index_of(self, var: int) -> tuple[int, int]:
         k = var - self.cell_vars[0]
-        if not 0 <= k < len(self._pairs):
+        if not 0 <= k < len(self.pairs):
             raise KeyError(var)
-        return self._pairs[k]
+        i, j = self.pairs[k].tolist()
+        return i, j
 
     def lower_bounds(self) -> np.ndarray:
         """Current lb of every cell as a full symmetric n x n array."""
-        m = np.asarray(self.store.lbs)[self.cell_ids]
+        m = np.frombuffer(self.store.lbs, dtype=np.int64)[self.cell_ids]
         np.fill_diagonal(m, 0)
         return m
+
+    def row_pairs(self, cells: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The cells as an array and rows i and j of each cell x = (i, j)
+        as a (cells, 2, n) block of ids. Slots k = i and k = j, which form
+        no triple with x, hold x itself."""
+        x = np.array(cells, dtype=np.intp)
+        ij = self.pairs[x - self.cell_vars[0]]
+        ids = self.cell_ids[ij]
+        ids[np.arange(len(x))[:, None], _ROW_I_J, ij] = x[:, None]
+        return x, ids
+
+
+_ROW_I_J = np.array([0, 1])
+_LOW = np.iinfo(np.int64).min
+_HIGH = np.iinfo(np.int64).max
+
+
+def _tighten_strongest(tighten, ids: np.ndarray, vals: np.ndarray, largest: bool) -> None:
+    """One tighten call per variable, with its largest (or smallest) value.
+
+    Sorted so that the strongest value of each variable comes last; the
+    dict keeps it.
+    """
+    if not len(ids):
+        return
+    order = vals.argsort()
+    if not largest:
+        order = order[::-1]
+    for v, val in dict(zip(ids[order].tolist(), vals[order].tolist())).items():
+        tighten(v, val)
 
 
 class UltrametricMatrix(Propagator):
@@ -207,15 +237,20 @@ class UltrametricMatrix(Propagator):
       the two others u, w;
     * upper bounds: ub(v) <= ub(u) whenever lb(w) > ub(u).
 
-    A wake applies, over rows i and j at once, the instances whose
-    premise reads the bound of x that changed: after MIN, the lb-rule
-    for u_k and w_k and the ub-rule with w = x; after MAX, the ub-rule
-    with u = x. Every other instance reads only u_k and w_k, and the
-    wake of whichever of them changed last applied it. Each narrowing
-    goes through the store, so its event wakes the narrowed cell's rows
-    in turn. Rows are read and compared with C-level builtins; a Python
-    loop visits only the slots these filters flag, and none when no
-    triple can narrow.
+    For each changed cell x a wake applies the instances whose premise
+    reads the bound of x that changed: after MIN, the lb-rule for u_k
+    and w_k and the ub-rule with w = x; after MAX, the ub-rule with
+    u = x. Every other instance reads only u_k and w_k, and the wake
+    after whichever of them changed last applies it.
+
+    One wake handles every changed cell. Per pass of up to n cells, rows
+    i and j of each cell are gathered into a (cells, 2, n) block
+    (`MrcaMatrix.row_pairs`), and the three rules run over the whole
+    block with numpy on one snapshot of the bounds, read through
+    zero-copy views of the store. Where several cells narrow the same
+    variable, only the largest lb and the smallest ub go to the store,
+    so each narrowing raises one event, and the narrowed cells' rows are
+    woken in turn.
 
     The initial wake does nothing: cells are constructed at [1, n-1],
     which is already bounds-consistent (all-equal tuples support every
@@ -228,59 +263,33 @@ class UltrametricMatrix(Propagator):
         super().__init__(matrix.cell_vars)
         self.matrix = matrix
 
-    def wake(self, store: Store, var: Optional[int], events: int) -> Wake:
-        if var is None:
-            return Wake.PROGRESS
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> Wake:
         mat = self.matrix
-        i, j = mat.index_of(var)
-        row_i, row_j = mat.row_bounds[i], mat.row_bounds[j]
-        ids_u, ids_w = mat.rows[i], mat.rows[j]
-        lbs, ubs = store.lbs, store.ubs
-        a, A = lbs[var], ubs[var]
-        # slot k holds u_k resp. w_k; slots i and j are no triple and are
-        # masked out or skipped
-        lu, lw = row_i(lbs), row_j(lbs)
-        if events & _LB_EVENTS:
-            # lb(u) >= min(lb(x), lb(w)) and lb(w) >= min(lb(x), lb(u)):
-            # where the two differ below lb(x), the smaller rises
-            mask = list(map(ne, lu, lw))
-            mask[i] = mask[j] = False
-            tighten = store.tighten_lb
-            for k in compress(range(len(mask)), mask):
-                p, q = lu[k], lw[k]
-                if p < q:
-                    if p < a:
-                        tighten(ids_u[k], q if q < a else a)
-                elif q < a:
-                    tighten(ids_w[k], p if p < a else a)
+        n = mat.n
+        cells = [v for v in changed if v is not None]
+        # views into the store's arrays; they must not outlive this call
+        lbs = np.frombuffer(store.lbs, dtype=np.int64)
+        ubs = np.frombuffer(store.ubs, dtype=np.int64)
+        for start in range(0, len(cells), n):  # n cells per pass bound a block at 2n^2 ids
+            batch = cells[start:start + n]
+            x, ids = mat.row_pairs(batch)
+            # lb(x) where it rose and ub(x) where it fell; elsewhere a
+            # sentinel under which no rule narrows
+            a = np.array([store.lbs[v] if changed[v] & _LB_EVENTS else _LOW for v in batch])[:, None, None]
+            b = np.array([store.ubs[v] if changed[v] & Event.MAX else _HIGH for v in batch])[:, None, None]
+            lb, ub = lbs[ids], ubs[ids]
+            # the other cell of the triple sits in the other row, same slot
+            other_lb, other_ub = lb[:, ::-1], ub[:, ::-1]
+            # lb(v) >= min(lb(x), lb(other))
+            new_lb = np.minimum(other_lb, a)
+            # lb(x) > ub(other) leaves v = other as the tied minimum:
+            # ub(v) <= ub(other); lb(other) > ub(x) leaves v = x: ub(v) <= ub(x)
+            new_ub = np.minimum(np.where(other_ub < a, other_ub, _HIGH), np.where(other_lb > b, b, _HIGH))
+            up, down = new_lb > lb, new_ub < ub
+            _tighten_strongest(store.tighten_lb, ids[up], new_lb[up], largest=True)
+            _tighten_strongest(store.tighten_ub, ids[down], new_ub[down], largest=False)
             if store.failed:
                 return Wake.PROGRESS
-            # lb(x) > ub(w) makes u = w the tied minimum: ub(u) <= ub(w),
-            # and likewise with u and w swapped
-            uu, uw = row_i(ubs), row_j(ubs)
-            if min(uu) < a or min(uw) < a:
-                mask = list(map(ne, uu, uw))
-                mask[i] = mask[j] = False
-                tighten = store.tighten_ub
-                for k in compress(range(len(mask)), mask):
-                    p, q = uu[k], uw[k]
-                    if p < q:
-                        if p < a:
-                            tighten(ids_w[k], p)
-                    elif q < a:
-                        tighten(ids_u[k], q)
-                if store.failed:
-                    return Wake.PROGRESS
-        if events & Event.MAX and (max(lu) > A or max(lw) > A):
-            # lb(w) > ub(x) makes x = u the tied minimum: ub(u) <= ub(x),
-            # and likewise with u and w swapped
-            tighten = store.tighten_ub
-            for k in range(len(lu)):
-                if k != i and k != j:
-                    if lw[k] > A:
-                        tighten(ids_u[k], A)
-                    if lu[k] > A:
-                        tighten(ids_w[k], A)
         return Wake.PROGRESS
 
 
@@ -298,7 +307,8 @@ class DelayedDisjunctionUm3(Propagator):
     (x > y = z), (y > x = z), (z > x = y), (x = y = z): nothing is
     filtered until at most one disjunct remains bound-feasible. Kept only
     to reproduce the non-pruning behaviour that motivates the specialised
-    propagator; never used by the supertree pipeline.
+    propagator; never used by the supertree pipeline. A wake re-checks
+    every disjunct, whichever variables changed.
     """
 
     __slots__ = ("x", "y", "z")
@@ -314,7 +324,7 @@ class DelayedDisjunctionUm3(Propagator):
         hi = min(store.ubs[u], store.ubs[v])
         return lo <= hi and store.ubs[top] >= lo + 1
 
-    def wake(self, store: Store, var: Optional[int], events: int) -> Wake:
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> Wake:
         x, y, z = self.x, self.y, self.z
         lbs, ubs = store.lbs, store.ubs
         feas = [

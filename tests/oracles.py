@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from itertools import compress
+from operator import itemgetter, ne
 
 from umtree import (
     Engine,
+    Event,
     Fan,
     PhyloTree,
     PropagateResult,
@@ -21,6 +24,8 @@ from umtree import (
     post_um3,
     tree_to_matrix,
 )
+from umtree.engine import Propagator, Wake
+from umtree.ultrametric import MrcaMatrix
 
 Box = tuple[int, int]
 
@@ -75,6 +80,83 @@ def um3_fixpoint(boxes: tuple[Box, Box, Box]) -> tuple[Box, Box, Box] | None:
 
 def all_boxes(max_value: int) -> list[Box]:
     return [(lo, hi) for lo in range(max_value + 1) for hi in range(lo, max_value + 1)]
+
+
+# -- reference matrix propagator -----------------------------------------------
+
+
+class RowWakeMatrix(Propagator):
+    """The matrix propagator as one scalar row wake per changed cell.
+
+    The same closed forms as `UltrametricMatrix`, applied one cell at a
+    time over rows i and j with list reads and a Python loop over the
+    slots they flag, each cell reading the bounds its predecessors left.
+    Posting it in place of the matrix propagator must reach the same
+    fixpoint.
+    """
+
+    __slots__ = ("matrix", "rows", "row_bounds")
+
+    def __init__(self, matrix: MrcaMatrix):
+        super().__init__(matrix.cell_vars)
+        self.matrix = matrix
+        # rows[i][i] repeats a cell of row i, so a row's min/max sees real cells only
+        self.rows = [list(row) for row in matrix.rows]
+        for i, row in enumerate(self.rows):
+            row[i] = row[i - 1]
+        self.row_bounds = [itemgetter(*row) for row in self.rows]
+
+    def wake(self, store, changed, events):
+        for var, ev in changed.items():
+            if var is not None:
+                self.row_wake(store, var, ev)
+                if store.failed:
+                    break
+        return Wake.PROGRESS
+
+    def row_wake(self, store, var, events):
+        mat = self.matrix
+        i, j = mat.index_of(var)
+        row_i, row_j = self.row_bounds[i], self.row_bounds[j]
+        ids_u, ids_w = self.rows[i], self.rows[j]
+        lbs, ubs = store.lbs, store.ubs
+        a, A = lbs[var], ubs[var]
+        lu, lw = row_i(lbs), row_j(lbs)
+        if events & (Event.MIN | Event.FIX):
+            # lb(u) >= min(lb(x), lb(w)) and lb(w) >= min(lb(x), lb(u))
+            mask = list(map(ne, lu, lw))
+            mask[i] = mask[j] = False
+            for k in compress(range(len(mask)), mask):
+                p, q = lu[k], lw[k]
+                if p < q:
+                    if p < a:
+                        store.tighten_lb(ids_u[k], q if q < a else a)
+                elif q < a:
+                    store.tighten_lb(ids_w[k], p if p < a else a)
+            if store.failed:
+                return
+            # lb(x) > ub(w) makes u = w the tied minimum: ub(u) <= ub(w)
+            uu, uw = row_i(ubs), row_j(ubs)
+            if min(uu) < a or min(uw) < a:
+                mask = list(map(ne, uu, uw))
+                mask[i] = mask[j] = False
+                for k in compress(range(len(mask)), mask):
+                    p, q = uu[k], uw[k]
+                    if p < q:
+                        if p < a:
+                            store.tighten_ub(ids_w[k], p)
+                    elif q < a:
+                        store.tighten_ub(ids_u[k], q)
+                if store.failed:
+                    return
+        if events & Event.MAX and (max(lu) > A or max(lw) > A):
+            # lb(w) > ub(x) makes x = u the tied minimum: ub(u) <= ub(x)
+            for k in range(len(lu)):
+                if k != i and k != j:
+                    if lw[k] > A:
+                        store.tighten_ub(ids_u[k], A)
+                    if lu[k] > A:
+                        store.tighten_ub(ids_w[k], A)
 
 
 # -- tree-side oracles ---------------------------------------------------------

@@ -170,6 +170,33 @@ def test_round_trip_random(seed):
     assert isomorphic(matrix_to_tree(tree_to_matrix(t)), t)
 
 
+def _caterpillar(n):
+    """((..((s0000,s0001),s0002)..),s<n-1>), built from nodes: parse_newick still recurses."""
+    t = leaf("s0000")
+    for i in range(1, n):
+        t = PhyloTree(children=(t, leaf(f"s{i:04d}")))
+    return t
+
+
+def test_matrix_to_tree_deep_caterpillar_is_iterative():
+    n = 1200
+    t = matrix_to_tree(tree_to_matrix(_caterpillar(n)))
+    # the read-off is the caterpillar itself, children in the same order
+    for i in range(n - 1, 0, -1):
+        t, last = t.children
+        assert last.label == f"s{i:04d}"
+    assert t.label == "s0000"
+
+
+def test_hard_breakup_deep_caterpillar_is_iterative():
+    n = 1200
+    cat = _caterpillar(n)
+    atoms = hard_breakup(cat)
+    assert len(atoms) == n - 2  # one triple per non-root interior node
+    m = tree_to_matrix(cat)
+    assert all(atom_holds(m, a) for a in atoms)
+
+
 # -- breakup ------------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 import itertools
 import random
+from functools import reduce
+from operator import or_
 from types import SimpleNamespace
 
 import pytest
@@ -14,11 +16,14 @@ from umtree import (
     RankAssign,
     Store,
     hard_breakup,
+    leaf_labels,
     post_delayed_disjunction_um3,
     post_um3,
     post_um_matrix,
+    random_forest,
     random_tree,
     restrict_and_suppress,
+    soft_breakup,
     species_labels,
     tree_to_matrix,
 )
@@ -28,7 +33,7 @@ from umtree.phylo import Fan, Triple
 from umtree.supertree import apply_side
 from umtree.ultrametric import MrcaMatrix, UltrametricMatrix, lb_fix, ub_fix, um3_wake
 
-from oracles import all_boxes, bcz_box_oracle, ultrametric_tuples, um3_fixpoint
+from oracles import RowWakeMatrix, all_boxes, bcz_box_oracle, ultrametric_tuples, um3_fixpoint
 
 
 def _vars(store, *boxes):
@@ -220,6 +225,18 @@ def test_matrix_unconstrained_stays_at_one():
     assert all(s.lbs[v] == 1 for v in m.cell_vars)
 
 
+def test_new_var_after_matrix_propagation():
+    # the matrix wake and lower_bounds read the bounds through numpy
+    # views; a view that outlived them would stop the arrays from growing
+    s, e, m = _matrix_engine(8)
+    post_um_matrix(e, m)
+    post_atom(e, m, Triple.of("s0", "s1", "s2"))
+    assert e.propagate() is PropagateResult.FIXPOINT
+    assert m.lower_bounds()[0, 1] == 2
+    v = s.new_var(1, 3)
+    assert s.domain(v) == (1, 3)
+
+
 def test_matrix_initial_domains():
     s, _, m = _matrix_engine(5)
     assert all(s.domain(v) == (1, 4) for v in m.cell_vars)
@@ -318,7 +335,7 @@ def test_matrix_wake_narrows_only_its_rows_like_the_triple_wakes():
         before = (list(s.lbs), list(s.ubs))
         cp = s.checkpoint()
 
-        p.wake(s, x, ev)
+        p.wake(s, {x: ev}, ev)
         got = (s.failed, list(s.lbs), list(s.ubs))
         s.restore(cp)
         for k in range(n):
@@ -424,20 +441,112 @@ def test_matrix_equals_decomposition_with_sides(seed):
 
 
 def test_sided_instances_cover_both_outcomes_and_upper_bound_rules(monkeypatch):
-    ub_wakes = 0
+    lowered = 0
     wake = UltrametricMatrix.wake
 
-    def counting_wake(self, store, var, events):
-        nonlocal ub_wakes
+    def counting_wake(self, store, changed, events):
+        nonlocal lowered
         before = list(store.ubs)
-        outcome = wake(self, store, var, events)
-        ub_wakes += store.ubs != before
+        outcome = wake(self, store, changed, events)
+        lowered += sum(map(int.__lt__, store.ubs, before))
         return outcome
 
     monkeypatch.setattr(UltrametricMatrix, "wake", counting_wake)
     outcomes = [_sided_fixpoint(*_sided_instance(seed), False, None) for seed in range(18)]
     assert any(o is None for o in outcomes) and any(o is not None for o in outcomes)
-    assert ub_wakes > 50  # matrix wakes that lowered an upper bound
+    assert lowered > 300  # upper bounds that matrix wakes lowered
+
+
+def test_batch_wake_equals_merged_single_cell_wakes():
+    # from a fixpoint, perturb several cells at once: one wake over all of
+    # them reaches the pointwise merge (largest lb, smallest ub) of the
+    # single-cell wakes, each taken from the same snapshot
+    narrowed = failed = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        n = 14
+        s, e, m = _matrix_engine(n)
+        p = post_um_matrix(e, m)
+        for a in _random_atoms(list(m.labels), rng, rng.randint(2, 14)):
+            post_atom(e, m, a)
+        if e.propagate() is PropagateResult.FAILURE:
+            continue
+        for x in rng.sample(m.cell_vars, rng.randint(2, 8)):
+            lo, hi = s.domain(x)
+            if lo < hi:
+                if rng.random() < 0.5:
+                    s.tighten_lb(x, rng.randint(lo + 1, hi))
+                else:
+                    s.tighten_ub(x, rng.randint(lo, hi - 1))
+        changed = {}
+        for x, ev in s.take_events():
+            changed[x] = changed.get(x, 0) | ev
+        if not changed:
+            continue
+        snapshot = (list(s.lbs), list(s.ubs))
+        lbs, ubs = list(snapshot[0]), list(snapshot[1])
+        single_failed = False
+        for x, ev in changed.items():
+            cp = s.checkpoint()
+            p.wake(s, {x: ev}, ev)
+            single_failed |= s.failed
+            lbs = list(map(max, lbs, s.lbs))
+            ubs = list(map(min, ubs, s.ubs))
+            s.restore(cp)
+        cp = s.checkpoint()
+        p.wake(s, changed, reduce(or_, changed.values()))
+        merged_empty = any(map(int.__gt__, lbs, ubs))
+        assert s.failed == (single_failed or merged_empty), seed
+        if s.failed:
+            failed += 1
+            continue
+        assert (list(s.lbs), list(s.ubs)) == (lbs, ubs), seed
+        narrowed += (lbs, ubs) != snapshot
+        s.restore(cp)
+    assert narrowed > 20 and failed > 0  # the sample exercises both outcomes
+
+
+def _swap_labels(tree, a, b):
+    if tree.is_leaf:
+        return PhyloTree(label={a: b, b: a}.get(tree.label, tree.label))
+    return PhyloTree(tuple(_swap_labels(c, a, b) for c in tree.children))
+
+
+def _forest_fixpoint(trees, mode, reference, queue_rng):
+    s = Store()
+    e = Engine(s, rng=queue_rng)
+    m = MrcaMatrix(s, sorted({lab for t in trees for lab in leaf_labels(t)}))
+    if reference:
+        e.register(RowWakeMatrix(m))
+    else:
+        post_um_matrix(e, m)
+    breakup = hard_breakup if mode == "hard" else soft_breakup
+    for t in trees:
+        for a in breakup(t):
+            post_atom(e, m, a)
+    failed = e.propagate() is PropagateResult.FAILURE
+    return failed, list(s.lbs), list(s.ubs)
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+@pytest.mark.parametrize("seed", range(4))
+def test_batch_wakes_equal_the_reference_row_wakes_on_forests(seed, mode):
+    # forests with n = 30..60, compatible and with two leaves swapped in
+    # one tree; the batch wakes in FIFO and two random queue orders
+    # against the one-cell-at-a-time row wake of tests/oracles.py
+    rng = random.Random(seed)
+    n = rng.randint(30, 60)
+    trees = random_forest(n, 3, 0.25, rng)
+    swapped = list(trees)
+    labels = sorted(leaf_labels(swapped[0]))
+    swapped[0] = _swap_labels(swapped[0], *rng.sample(labels, 2))
+    for forest in (trees, swapped):
+        want = _forest_fixpoint(forest, mode, True, None)
+        for queue in (None, random.Random(1), random.Random(2)):
+            got = _forest_fixpoint(forest, mode, False, queue)
+            assert got[0] == want[0]
+            if not want[0]:
+                assert got == want
 
 
 # -- delayed disjunction demonstrator -------------------------------------------
