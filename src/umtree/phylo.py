@@ -15,10 +15,12 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, groupby
-from operator import itemgetter, not_
-from typing import Iterable, Iterator
+from operator import attrgetter, itemgetter, not_
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
+
+_T = TypeVar("_T")
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 _FLOAT_RE = re.compile(r"[+-]?\d+(\.\d+)?([eE][+-]?\d+)?")
@@ -78,6 +80,32 @@ def iter_nodes(tree: PhyloTree) -> Iterator[PhyloTree]:
         n = stack.pop()
         yield n
         stack.extend(reversed(n.children))
+
+
+def fold(
+    tree: PhyloTree, at_leaf: Callable[[PhyloTree], _T], at_node: Callable[[PhyloTree, list[_T]], _T]
+) -> _T:
+    """Bottom-up value of the tree: at_leaf(leaf) on every leaf and
+    at_node(node, child values in child order) on every internal node.
+
+    The nodes are listed parents first (breadth-first, the list extended
+    while it is read) and evaluated in reverse, so every node comes after
+    its descendants: one loop instead of recursion, and deep trees cannot
+    overflow the stack. Values are read, not popped, so a subtree shared
+    by two parents is fine.
+    """
+    order = [tree]
+    for nd in order:
+        order.extend(nd.children)
+    value: dict[PhyloTree, _T] = {}
+    get = value.__getitem__
+    for nd in reversed(order):
+        kids = nd.children
+        value[nd] = at_node(nd, list(map(get, kids))) if kids else at_leaf(nd)
+    return value[tree]
+
+
+_leaf_label = attrgetter("label")
 
 
 def leaf_labels(tree: PhyloTree) -> frozenset[str]:
@@ -222,18 +250,24 @@ def parse_newick(text: str) -> PhyloTree:
                 raise NewickParseError(pos, "expected a number after ':'")
             pos = m.end()
 
-    def read_node() -> PhyloTree:
-        nonlocal pos
+    open_kids: list[list[PhyloTree]] = []  # child lists of the open "(", innermost last
+    while True:
         skip_ws()
         if pos < size and text[pos] == "(":
             pos += 1
-            kids = [read_node()]
+            open_kids.append([])
+            continue
+        nd = PhyloTree(label=read_label())
+        skip_branch_length()
+        while open_kids:  # nd is complete: file it, then close every ")" that follows
+            kids = open_kids[-1]
+            kids.append(nd)
             skip_ws()
-            while pos < size and text[pos] == ",":
+            if pos < size and text[pos] == ",":
                 pos += 1
-                kids.append(read_node())
-                skip_ws()
+                break
             expect(")")
+            open_kids.pop()
             if len(kids) < 2:
                 raise NewickParseError(pos, "internal node needs at least 2 children")
             label: str | None = None
@@ -248,23 +282,20 @@ def parse_newick(text: str) -> PhyloTree:
                     pos += 1
                     rank = read_rank()
             skip_branch_length()
-            return PhyloTree(children=tuple(kids), label=label, rank=rank)
-        label = read_label()
-        skip_branch_length()
-        return PhyloTree(label=label)
-
-    tree = read_node()
+            nd = PhyloTree(children=tuple(kids), label=label, rank=rank)
+        else:  # no "(" left open: nd is the root
+            break
     expect(";")
     skip_ws()
     if pos != size:
         raise NewickParseError(pos, "trailing characters after ';'")
     labels: set[str] = set()
-    for n in iter_nodes(tree):
+    for n in iter_nodes(nd):
         if n.is_leaf:
             if n.label in labels:
                 raise NewickParseError(0, f"duplicate leaf label {n.label!r}")
             labels.add(n.label)
-    return tree
+    return nd
 
 
 def parse_newick_many(text: str) -> list[PhyloTree]:
@@ -278,17 +309,13 @@ def parse_newick_many(text: str) -> list[PhyloTree]:
     return trees
 
 
-def serialize_newick(tree: PhyloTree) -> str:
-    def ser(n: PhyloTree) -> str:
-        if n.is_leaf:
-            return n.label
-        inner = ",".join(ser(c) for c in n.children)
-        suffix = n.label or ""
-        if n.rank is not None:
-            suffix += f"#{n.rank}"
-        return f"({inner}){suffix}"
+def _suffix(nd: PhyloTree) -> str:
+    """An internal node's taxon label and "#rank", as Newick writes them."""
+    return (nd.label or "") + ("" if nd.rank is None else f"#{nd.rank}")
 
-    return ser(tree) + ";"
+
+def serialize_newick(tree: PhyloTree) -> str:
+    return fold(tree, _leaf_label, lambda nd, kids: f"({','.join(kids)}){_suffix(nd)}") + ";"
 
 
 # -- depths and matrices ----------------------------------------------------
@@ -628,33 +655,19 @@ def restrict_and_suppress(tree: PhyloTree, labels: Iterable[str]) -> PhyloTree:
     if not keep <= have:
         raise ValueError(f"labels not in tree: {sorted(keep - have)}")
 
-    def restrict(nd: PhyloTree) -> PhyloTree | None:
-        if nd.is_leaf:
-            return nd if nd.label in keep else None
-        kids = [r for r in (restrict(c) for c in nd.children) if r is not None]
-        if not kids:
-            return None
-        if len(kids) == 1:
-            return kids[0]
-        return PhyloTree(children=tuple(kids), label=nd.label, rank=nd.rank)
+    def restrict(nd: PhyloTree, kids: list[PhyloTree | None]) -> PhyloTree | None:
+        kept = [k for k in kids if k is not None]
+        if len(kept) < 2:
+            return kept[0] if kept else None
+        return PhyloTree(children=tuple(kept), label=nd.label, rank=nd.rank)
 
-    out = restrict(tree)
-    assert out is not None
-    return out
+    return fold(tree, lambda nd: nd if nd.label in keep else None, restrict)
 
 
 def canonical_form(tree: PhyloTree, with_internal_labels: bool = True) -> str:
     """Order-independent structural key; equal forms mean isomorphic trees."""
-    if tree.is_leaf:
-        return tree.label
-    parts = sorted(canonical_form(c, with_internal_labels) for c in tree.children)
-    suffix = ""
-    if with_internal_labels:
-        if tree.label:
-            suffix = tree.label
-        if tree.rank is not None:
-            suffix += f"#{tree.rank}"
-    return "(" + ",".join(parts) + ")" + suffix
+    suffix = _suffix if with_internal_labels else lambda nd: ""
+    return fold(tree, _leaf_label, lambda nd, kids: f"({','.join(sorted(kids))}){suffix(nd)}")
 
 
 def isomorphic(t1: PhyloTree, t2: PhyloTree) -> bool:
@@ -677,50 +690,38 @@ def displays(t1: PhyloTree, t2: PhyloTree) -> bool:
     )
 
 
-def _label_ancestry(tree: PhyloTree) -> tuple[dict[str, int], dict[str, set[int]]]:
-    """Per label: the id of its node and the ids of that node's ancestors
-    (including itself)."""
-    own: dict[str, int] = {}
-    ancs: dict[str, set[int]] = {}
+def _labels_below(tree: PhyloTree) -> dict[str, set[str]]:
+    """Per label: the labels on its node and below it."""
+    below: dict[str, set[str]] = {}
 
-    def walk(nd: PhyloTree, path: set[int]) -> None:
-        here = path | {id(nd)}
+    def gather(nd: PhyloTree, kids: Iterable[set[str]] = ()) -> set[str]:
+        here = set().union(*kids)
         if nd.label is not None:
-            own[nd.label] = id(nd)
-            ancs[nd.label] = here
-        for c in nd.children:
-            walk(c, here)
+            here.add(nd.label)
+            below[nd.label] = here
+        return here
 
-    walk(tree, set())
-    return own, ancs
+    fold(tree, gather, gather)
+    return below
 
 
 def perfectly_displays(t: PhyloTree, t_prime: PhyloTree) -> bool:
     """Display plus exact preservation of label ancestry.
 
     Checks: every label of t_prime occurs in t; t displays t_prime
-    (internal labels ignored); and for every pair of labels of t_prime,
-    one labels a descendant of the other in t_prime exactly when it does
-    in t. Leaves of t_prime must be leaves of t, otherwise False.
+    (internal labels ignored); and for every label a of t_prime, the
+    labels of t_prime on a's node and below are the same in both trees.
+    Leaves of t_prime must be leaves of t, otherwise False.
     """
-    if not all_labels(t_prime) <= all_labels(t):
+    labels = all_labels(t_prime)
+    if not labels <= all_labels(t):
         return False
     if not leaf_labels(t_prime) <= leaf_labels(t):
         return False
     if not displays(t, t_prime):
         return False
-    own_p, anc_p = _label_ancestry(t_prime)
-    own_t, anc_t = _label_ancestry(t)
-    labels = sorted(own_p)
-    for a in labels:
-        for b in labels:
-            if a == b:
-                continue
-            desc_in_prime = own_p[b] in anc_p[a]
-            desc_in_t = own_t[b] in anc_t[a]
-            if desc_in_prime != desc_in_t:
-                return False
-    return True
+    below_t, below_p = _labels_below(t), _labels_below(t_prime)
+    return all(below_t[a] & labels == below_p[a] for a in labels)
 
 
 # -- atoms of a tree ---------------------------------------------------------

@@ -25,13 +25,12 @@ from .phylo import (
     UltrametricIntMatrix,
     atom_holds,
     canonical_form,
+    fold,
     hard_breakup,
     iter_nodes,
-    leaf,
     leaf_labels,
     matrix_to_tree,
     mrca_pairs,
-    node,
     perfectly_displays,
     soft_breakup,
     tree_to_matrix,
@@ -132,14 +131,12 @@ class SupertreeModel:
         self.mode = mode
         self.store = Store()
         self.engine = Engine(self.store)
-        self.matrix: MrcaMatrix | None = None
+        self.matrix = MrcaMatrix(self.store, forest.species)
         self.atoms: list[Atom] = []
         self.atom_sources: dict[Atom, list[int]] = {}
         self.taxa_vars: dict[str, int] = {}
         self.nested_posts: list[tuple[str, str, tuple[str, str]]] = []
-        if forest.n >= 3:
-            self.matrix = MrcaMatrix(self.store, forest.species)
-            post_um_matrix(self.engine, self.matrix)
+        post_um_matrix(self.engine, self.matrix)
 
     @property
     def n(self) -> int:
@@ -160,8 +157,6 @@ class SupertreeModel:
             post_atom(self.engine, self.matrix, atom)
 
     def cell(self, a: str, b: str) -> int:
-        if self.matrix is None:
-            raise PreconditionError("degenerate model (fewer than 3 species) has no matrix")
         try:
             return self.matrix.cell_by_label(a, b)
         except KeyError as e:
@@ -177,15 +172,9 @@ def build_model(
     sides: Sequence[SideConstraint] = (),
     post_atoms: bool = True,
 ) -> SupertreeModel:
-    """Create the constraint model for a forest; no propagation happens yet.
-
-    Forests over fewer than 3 species get a degenerate matrix-free model
-    (their supertree is trivial and they admit no atoms or useful sides).
-    """
+    """Create the constraint model for a forest; no propagation happens yet."""
     model = SupertreeModel(forest, mode)
     model.collect_atoms()
-    if model.matrix is None:
-        return model
     if post_atoms:
         model.post_collected_atoms()
     for side in sides:
@@ -235,20 +224,12 @@ def apply_ranks(model: SupertreeModel, tree: PhyloTree) -> None:
 # -- building -----------------------------------------------------------------
 
 
-def _trivial_tree(species: Sequence[str]) -> PhyloTree:
-    if len(species) == 1:
-        return leaf(species[0])
-    return node([leaf(s) for s in species])
-
-
 def cp_build(model: SupertreeModel) -> PhyloTree | None:
     """Propagate to fixpoint and read the supertree off the lower bounds.
 
     Returns None when the inputs are incompatible. Never searches:
     search_nodes stays 0 either way.
     """
-    if model.matrix is None:
-        return _trivial_tree(model.forest.species)
     if model.engine.propagate() is PropagateResult.FAILURE:
         return None
     return matrix_to_tree(model.lb_matrix())
@@ -333,8 +314,6 @@ def greedy_build_with_model(
     forest: Forest, mode: str = "hard"
 ) -> tuple[PhyloTree, GreedyReport, SupertreeModel]:
     model = build_model(forest, mode, post_atoms=False)
-    if model.matrix is None:
-        return _trivial_tree(model.forest.species), GreedyReport((), (), ()), model
     engine = model.engine
     res = engine.propagate()
     assert res is PropagateResult.FIXPOINT
@@ -381,8 +360,6 @@ def explain_conflict(forest: Forest, mode: str = "hard") -> ConflictCore:
     an incompatible forest (PreconditionError otherwise).
     """
     model = build_model(forest, mode, post_atoms=False)
-    if model.matrix is None:
-        raise PreconditionError("explain_conflict requires an incompatible forest")
     res = model.engine.propagate()
     assert res is PropagateResult.FIXPOINT
     if _propagates(model, model.atoms):
@@ -422,14 +399,11 @@ def _taxon_index(trees: Sequence[PhyloTree]) -> dict[str, list[tuple[int, PhyloT
 
 
 def _substitute_leaf(tree: PhyloTree, label: str, replacement: PhyloTree) -> PhyloTree:
-    def sub(nd: PhyloTree) -> PhyloTree:
-        if nd.is_leaf:
-            return replacement if nd.label == label else nd
-        return PhyloTree(
-            children=tuple(sub(c) for c in nd.children), label=nd.label, rank=nd.rank
-        )
-
-    return sub(tree)
+    return fold(
+        tree,
+        lambda nd: replacement if nd.label == label else nd,
+        lambda nd, kids: PhyloTree(children=tuple(kids), label=nd.label, rank=nd.rank),
+    )
 
 
 def nested_preprocess(forest: Forest) -> Forest:
@@ -547,16 +521,10 @@ def attach_labels(
             )
         targets[id(spot)] = label
 
-    def rebuild(nd: PhyloTree) -> PhyloTree:
-        if nd.is_leaf:
-            return nd
-        return PhyloTree(
-            children=tuple(rebuild(c) for c in nd.children),
-            label=targets.get(id(nd), nd.label),
-            rank=nd.rank,
-        )
+    def relabel(nd: PhyloTree, kids: list[PhyloTree]) -> PhyloTree:
+        return PhyloTree(children=tuple(kids), label=targets.get(id(nd), nd.label), rank=nd.rank)
 
-    result = rebuild(tree)
+    result = fold(tree, lambda nd: nd, relabel)
     for t in inputs:
         if not perfectly_displays(result, t):
             raise IncompatibleNestedError("result does not perfectly display every input")
@@ -576,8 +544,6 @@ def enumerate_supertrees(model: SupertreeModel, limit: int) -> list[PhyloTree]:
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    if model.matrix is None:
-        return [_trivial_tree(model.forest.species)]
     engine = model.engine
     store = model.store
     if engine.propagate() is PropagateResult.FAILURE:
@@ -659,7 +625,7 @@ def build_supertree(
         if _fully_ranked(t):
             all_sides.append(RankAssign(t))
     model = build_model(forest, mode, sides=all_sides)
-    if has_taxa and model.matrix is not None:
+    if has_taxa:
         apply_nested_taxa(model, forest)
     t1 = time.perf_counter()
     tree = cp_build(model)

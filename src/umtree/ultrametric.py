@@ -140,8 +140,9 @@ class MrcaMatrix:
 
     Cell (i, j) holds the depth of the most recent common ancestor of
     species i and j; the diagonal is the constant 0 and is not stored.
-    Off-diagonal domains start at [1, n-1]. cell(i, j) and cell(j, i)
-    are the same variable by construction.
+    Off-diagonal domains start at [1, n-1], so two species have one cell
+    fixed at 1 and one species has none. cell(i, j) and cell(j, i) are
+    the same variable by construction.
 
     `rows[i][k]` is the variable of cell (i, k), and `cell_ids` is the
     same table as an n x n index array; the diagonal slots hold 0, a
@@ -157,8 +158,6 @@ class MrcaMatrix:
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate species labels")
         n = len(labels)
-        if n < 3:
-            raise ValueError("matrix needs at least 3 species")
         self.store = store
         self.labels = labels
         self.n = n
@@ -190,6 +189,8 @@ class MrcaMatrix:
 
     def lower_bounds(self) -> np.ndarray:
         """Current lb of every cell as a full symmetric n x n array."""
+        if not self.cell_vars:  # one species: no cells to gather
+            return np.zeros((self.n, self.n), dtype=np.int64)
         m = np.frombuffer(self.store.lbs, dtype=np.int64)[self.cell_ids]
         np.fill_diagonal(m, 0)
         return m

@@ -21,10 +21,13 @@ from umtree import (
     Store,
     Triple,
     all_rooted_trees,
+    displays,
+    leaf_labels,
     post_um3,
     tree_to_matrix,
 )
 from umtree.engine import Propagator, Wake
+from umtree.phylo import all_labels
 from umtree.ultrametric import MrcaMatrix
 
 Box = tuple[int, int]
@@ -237,3 +240,40 @@ def oracle_necessary(
     sups = oracle_supertrees(trees, species)
     assert sups, "oracle_necessary expects a compatible forest"
     return all(triple_codes(s)[key] == code for s in sups)
+
+
+def _label_ancestry(tree: PhyloTree) -> tuple[dict[str, int], dict[str, set[int]]]:
+    """Per label: the id of its node and the ids of that node's ancestors
+    (including itself). Recursive; small trees only."""
+    own: dict[str, int] = {}
+    ancs: dict[str, set[int]] = {}
+
+    def walk(nd: PhyloTree, path: set[int]) -> None:
+        here = path | {id(nd)}
+        if nd.label is not None:
+            own[nd.label] = id(nd)
+            ancs[nd.label] = here
+        for c in nd.children:
+            walk(c, here)
+
+    walk(tree, set())
+    return own, ancs
+
+
+def perfectly_displays_by_pairs(t: PhyloTree, t_prime: PhyloTree) -> bool:
+    """Reference perfect display: t displays t_prime, and for every pair
+    of labels of t_prime, one labels a descendant of the other in t_prime
+    exactly when it does in t."""
+    if not all_labels(t_prime) <= all_labels(t):
+        return False
+    if not leaf_labels(t_prime) <= leaf_labels(t):
+        return False
+    if not displays(t, t_prime):
+        return False
+    own_p, anc_p = _label_ancestry(t_prime)
+    own_t, anc_t = _label_ancestry(t)
+    for a in own_p:
+        for b in own_p:
+            if a != b and (own_p[b] in anc_p[a]) != (own_t[b] in anc_t[a]):
+                return False
+    return True

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from umtree import displays, isomorphic, parse_newick, parse_newick_many
+from umtree import cli, displays, isomorphic, parse_newick, parse_newick_many
 from umtree.cli import main
 
 
@@ -117,16 +117,24 @@ def test_check_tree_against_itself(tmp_path, capsys):
     assert main(["check", f1, f1]) == 0
 
 
-def test_check_crash_is_internal_error_not_a_verdict(tmp_path, capsys):
-    # a 1,200-deep caterpillar overflows the recursive tree walks; the
-    # crash must not exit 1, which means "does not display"
+def test_check_deep_caterpillar(tmp_path, capsys):
     newick = "s0"
     for i in range(1, 1201):
         newick = f"({newick},s{i})"
     cat = _write(tmp_path, "cat.nwk", newick + ";\n")
-    assert main(["check", cat, cat]) == 4
+    assert main(["check", cat, cat]) == 0
+
+
+def test_check_crash_is_internal_error_not_a_verdict(tmp_path, capsys, monkeypatch):
+    # a crash must not exit 1, which means "does not display"
+    def boom(t1, t2):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "displays", boom)
+    f1 = _write(tmp_path, "t.nwk", "((a,b),c);\n")
+    assert main(["check", f1, f1]) == 4
     _, err = capsys.readouterr()
-    assert err.startswith("error: RecursionError: ")
+    assert err == "error: RuntimeError: boom\n"
 
 
 def test_check_detects_non_display(tmp_path, capsys):
@@ -180,6 +188,28 @@ def test_build_with_bounds_constraint(tmp_path, capsys):
     cons = _write(tmp_path, "c.txt", "bounds a b 2 2\n")
     assert main(["build", f1, "--constraints", cons]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("newick", ["a;", "(a,b);"])
+def test_build_one_and_two_species_use_the_matrix_model(tmp_path, capsys, newick):
+    f1 = _write(tmp_path, "t.nwk", newick + "\n")
+    assert main(["build", f1]) == 0
+    out, err = capsys.readouterr()
+    assert out == newick + "\n"
+    assert json.loads(err)["propagators"] == 1  # the matrix propagator
+
+
+def test_bounds_apply_to_two_species_forests(tmp_path, capsys):
+    # the one cell of a 2-species matrix has the domain [1, 1]
+    f1 = _write(tmp_path, "t.nwk", "(a,b);\n")
+    ok = _write(tmp_path, "ok.txt", "bounds a b 1 5\n")
+    assert main(["build", f1, "--constraints", ok]) == 0
+    out_of_range = _write(tmp_path, "far.txt", "bounds a b 2 5\n")
+    assert main(["build", f1, "--constraints", out_of_range]) == 1
+    unknown = _write(tmp_path, "unknown.txt", "bounds a z 1 1\n")
+    assert main(["build", f1, "--constraints", unknown]) == 2
+    _, err = capsys.readouterr()
+    assert "unknown species 'z'" in err
 
 
 def test_constraints_unknown_keyword_exit_2(tmp_path, capsys):

@@ -4,12 +4,14 @@ from umtree import (
     Forest,
     IncompatibleNestedError,
     NestedContradictionError,
+    PhyloTree,
     apply_nested_taxa,
     attach_labels,
     build_model,
     build_supertree,
     cp_build,
     isomorphic,
+    leaf,
     nested_preprocess,
     parse_newick,
     perfectly_displays,
@@ -117,6 +119,23 @@ def test_taxon_defined_twice_and_used_as_leaf():
         assert perfectly_displays(outcome.tree, t)
 
 
+def _deep_tree(depth, bottom):
+    """A caterpillar of `depth` levels over s1..s<depth> around `bottom`."""
+    t = bottom
+    for i in range(1, depth + 1):
+        t = PhyloTree(children=(t, leaf(f"s{i}")))
+    return t
+
+
+def test_preprocess_substitutes_deep_inside_a_tree():
+    deep = _deep_tree(1200, PhyloTree(children=(leaf("P"), leaf("c"))))
+    f = Forest.from_trees([deep, parse_newick("((a,b)P,d);")])
+    out = nested_preprocess(f).trees[0]
+    for _ in range(1200):
+        out = out.children[0]
+    assert serialize_newick(out) == "((a,b)P,c);"
+
+
 def test_taxa_vars_have_full_domains():
     f = _fig20_forest()
     model = build_model(f, "soft")
@@ -151,6 +170,16 @@ def test_attach_labels_two_trees_sharing_taxon():
     labelled = attach_labels(tree, taxa_descendants(pre), pre.trees)
     for t in pre.trees:
         assert perfectly_displays(labelled, t)
+
+
+def test_attach_labels_on_a_deep_tree():
+    tree = _deep_tree(1200, PhyloTree(children=(leaf("a"), leaf("b"))))
+    labelled = attach_labels(tree, {"P": frozenset({"a", "b"})}, [parse_newick("((a,b)P,s1);")])
+    bottom = labelled
+    for _ in range(1200):
+        bottom = bottom.children[0]
+    assert serialize_newick(bottom) == "(a,b)P;"
+    assert perfectly_displays(labelled, labelled)
 
 
 def test_attach_labels_collision_reports_incompatible():

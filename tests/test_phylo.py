@@ -170,12 +170,21 @@ def test_round_trip_random(seed):
     assert isomorphic(matrix_to_tree(tree_to_matrix(t)), t)
 
 
-def _caterpillar(n):
-    """((..((s0000,s0001),s0002)..),s<n-1>), built from nodes: parse_newick still recurses."""
+def _caterpillar(n, labels=None):
+    """((..((s0000,s0001),s0002)..),s<n-1>), built from nodes; labels maps
+    an internal node's leaf count to its taxon label."""
+    labels = labels or {}
     t = leaf("s0000")
     for i in range(1, n):
-        t = PhyloTree(children=(t, leaf(f"s{i:04d}")))
+        t = PhyloTree(children=(t, leaf(f"s{i:04d}")), label=labels.get(i + 1))
     return t
+
+
+def _caterpillar_newick(n):
+    text = "s0000"
+    for i in range(1, n):
+        text = f"({text},s{i:04d})"
+    return text + ";"
 
 
 def test_matrix_to_tree_deep_caterpillar_is_iterative():
@@ -195,6 +204,43 @@ def test_hard_breakup_deep_caterpillar_is_iterative():
     assert len(atoms) == n - 2  # one triple per non-root interior node
     m = tree_to_matrix(cat)
     assert all(atom_holds(m, a) for a in atoms)
+
+
+def test_newick_round_trip_deep_caterpillar():
+    text = _caterpillar_newick(1200)
+    tree = parse_newick(text)
+    assert serialize_newick(tree) == text
+    assert isomorphic(tree, _caterpillar(1200))
+
+
+def test_canonical_form_deep_caterpillar():
+    cat = _caterpillar(1200)
+    # "(" sorts before "s", so the canonical form keeps every child order
+    assert canonical_form(cat) == _caterpillar_newick(1200)[:-1]
+    mirrored = leaf("s0000")
+    for i in range(1, 1200):
+        mirrored = PhyloTree(children=(leaf(f"s{i:04d}"), mirrored))
+    assert isomorphic(cat, mirrored)
+    assert not isomorphic(cat, _caterpillar(1200, {600: "P"}))
+
+
+def test_restrict_and_display_deep_caterpillar():
+    cat = _caterpillar(1200)
+    evens = [f"s{i:04d}" for i in range(0, 1200, 2)]
+    restricted = restrict_and_suppress(cat, evens)
+    want = leaf("s0000")
+    for lab in evens[1:]:
+        want = PhyloTree(children=(want, leaf(lab)))
+    assert canonical_form(restricted) == canonical_form(want)
+    assert displays(cat, restricted)
+    swapped = PhyloTree(children=(PhyloTree(children=(leaf("s0000"), leaf("s0002"))), leaf("s0001")))
+    assert not displays(cat, swapped)
+
+
+def test_perfectly_displays_deep_caterpillar():
+    labelled = _caterpillar(1200, {k: f"T{k}" for k in range(2, 1201, 7)})
+    assert perfectly_displays(labelled, labelled)
+    assert not perfectly_displays(labelled, _caterpillar(1200, {2: "T9"}))
 
 
 # -- breakup ------------------------------------------------------------------

@@ -114,6 +114,28 @@ def test_cp_build_degenerate_sizes():
     assert isomorphic(cp_build(build_model(_forest("(a,b);"), "hard")), parse_newick("(a,b);"))
 
 
+@pytest.mark.parametrize("newick", ["a;", "(a,b);"])
+def test_one_and_two_species_forests_get_the_matrix_model(newick):
+    f = _forest(newick)
+    model = build_model(f, "hard")
+    assert model.matrix.n == f.n and len(model.engine.propagators) == 1
+    assert serialize_newick(cp_build(model)) == newick
+    tree, report = greedy_build(f)
+    assert serialize_newick(tree) == newick and report.rejected == ()
+    assert [serialize_newick(t) for t in enumerate_supertrees(build_model(f), 5)] == [newick]
+    with pytest.raises(PreconditionError):
+        explain_conflict(f)
+
+
+def test_sides_apply_to_two_species_forests():
+    f = _forest("(a,b);")
+    assert cp_build(build_model(f, sides=[DateBounds("a", "b", 1, 5)])) is not None
+    assert cp_build(build_model(f, sides=[DateBounds("a", "b", 2, 5)])) is None
+    assert cp_build(build_model(f, sides=[RankAssign(parse_newick("(a,b)#2;"))])) is None
+    with pytest.raises(SpeciesNotFoundError):
+        build_model(f, sides=[DateBounds("a", "z", 1, 1)])
+
+
 def test_lb_solution_satisfies_all_atoms():
     rng = random.Random(21)
     for _ in range(30):
