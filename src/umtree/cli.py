@@ -1,16 +1,17 @@
 """Command-line surface over Newick files.
 
 Subcommands: build, greedy, necessity, explain, breakup, check,
-enumerate, gen, bench. Stdout carries only payloads (Newick trees, atom
-strings, the bench table); run statistics go to stderr as one JSON
-object. Exit codes: 0 success/compatible, 1 incompatible (or check
-failed), 2 parse/usage error, 3 precondition failure, 4 internal error
-(an unexpected exception, reported instead of posing as a verdict).
+enumerate, gen. Stdout carries only payloads (Newick trees, atom
+strings); run statistics go to stderr as one JSON object. Exit codes:
+0 success/compatible, 1 incompatible (or check failed), 2 parse/usage
+error, 3 precondition failure, 4 internal error (an unexpected
+exception, reported instead of posing as a verdict).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -176,21 +177,7 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    rows = []
-    for n in [int(s) for s in args.sizes.split(",")]:
-        rng = random.Random(args.seed)
-        forest = Forest.from_trees(random_forest(n, args.trees, args.prune, rng))
-        outcome = build_supertree(forest, mode=args.mode)
-        rows.append(
-            json.loads(
-                _stats_json(outcome.model, outcome.build_ms, outcome.solve_ms, outcome.status)
-            )
-        )
-    print(json.dumps(rows, indent=2))
-    return EXIT_OK
-
-
+@functools.cache  # main() runs once per command: build the parser once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="umtree",
@@ -250,13 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prune", type=float, default=0.25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-
-    p = add("bench", _cmd_bench, "build over a ladder of generated sizes")
-    p.add_argument("--sizes", default="20,40,80")
-    p.add_argument("--trees", type=int, default=3)
-    p.add_argument("--prune", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
-    mode_flag(p)
 
     return parser
 

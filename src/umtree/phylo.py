@@ -514,115 +514,46 @@ def matrix_to_tree(matrix: UltrametricIntMatrix) -> PhyloTree:
 # -- breakup ----------------------------------------------------------------
 
 
-class _WorkNode:
-    __slots__ = ("children", "label", "parent", "depth", "order")
-
-    def __init__(self, label: str | None, depth: int, order: int):
-        self.children: list[_WorkNode] = []
-        self.label = label
-        self.parent: _WorkNode | None = None
-        self.depth = depth
-        self.order = order
-
-
-def _build_work_tree(tree: PhyloTree) -> tuple[_WorkNode, list[_WorkNode]]:
-    """Mutable copy plus interior nodes in non-increasing depth order."""
-    interior: list[_WorkNode] = []
-    root = None
-    stack: list[tuple[PhyloTree, _WorkNode | None]] = [(tree, None)]
-    order = 0
-    while stack:  # preorder; order numbers the nodes as they are copied
-        nd, parent = stack.pop()
-        depth = 1 if parent is None else parent.depth + 1
-        w = _WorkNode(nd.label if nd.is_leaf else None, depth, order)
-        order += 1
-        if parent is None:
-            root = w
-        else:
-            w.parent = parent
-            parent.children.append(w)
-        if not nd.is_leaf:
-            interior.append(w)
-            stack.extend((c, w) for c in reversed(nd.children))
-    interior.sort(key=lambda w: (-w.depth, w.order))
-    return root, interior
-
-
-def _leaf_labels_under(w: _WorkNode) -> list[str]:
-    out: list[str] = []
-    stack = [w]
-    while stack:
-        n = stack.pop()
-        if not n.children:
-            if n.label is not None:
-                out.append(n.label)
-        else:
-            stack.extend(n.children)
-    return out
-
-
-def _uncle_or_cousin(c0: _WorkNode) -> str:
-    """Smallest leaf label under any sibling of c0's parent (current tree)."""
-    parent = c0.parent
-    grand = parent.parent
-    best: str | None = None
-    for sib in grand.children:
-        if sib is parent:
-            continue
-        for lab in _leaf_labels_under(sib):
-            if best is None or lab < best:
-                best = lab
-    assert best is not None
-    return best
-
-
 def _breakup(tree: PhyloTree, hard: bool) -> list[Atom]:
-    if len(leaf_labels(tree)) < 3:
-        return []
-    root, interior = _build_work_tree(tree)
+    """One pass over the interior nodes, deepest level first and left to
+    right within a level (the breakup of Ng & Wormald, 1996).
+
+    A handled node stands for the leaf of its second-to-last child. In
+    hard mode it gives every fan of three children in index order, then
+    the triple of its last two children; in soft mode one triple per
+    adjacent pair of children. A triple's outsider is the smallest current
+    leaf under the node's siblings: a handled sibling shows the leaf it
+    stands for, one not yet handled the leaves of its children. The root
+    has no outsider, so it gives only its fans.
+    """
+    levels = [[tree]]  # the root, then the interior nodes of each depth; the last list is empty
+    while levels[-1]:
+        levels.append([c for nd in levels[-1] for c in nd.children if c.children])
+    stands: dict[PhyloTree, str] = {}  # handled node -> the leaf it stands for
     atoms: list[Atom] = []
-    seen: set[Atom] = set()
 
-    def emit(atom: Atom) -> None:
-        if atom not in seen:
-            seen.add(atom)
-            atoms.append(atom)
+    def current(nd: PhyloTree) -> str:
+        return stands[nd] if nd.children else nd.label
 
-    i = 0
-    while i < len(interior):
-        v = interior[i]
-        if not v.children:  # already collapsed as part of an ancestor
-            i += 1
-            continue
-        is_root = v.parent is None
-        degree = len(v.children)
+    def handle(nd: PhyloTree, outsider: str | None) -> None:
+        kids = list(map(current, nd.children))
         if hard:
-            if is_root and degree <= 2:
-                break
-            c0 = v.children[0]
-            if degree == 2:
-                c1 = v.children[1]
-                emit(Triple.of(c0.label, c1.label, _uncle_or_cousin(c0)))
-                v.children = []
-                v.label = c0.label
-                i += 1
-            else:
-                for j in range(1, degree - 1):
-                    for k in range(j + 1, degree):
-                        emit(Fan.of(c0.label, v.children[j].label, v.children[k].label))
-                v.children.remove(c0)
-        else:
-            if is_root:
-                break
-            c0 = v.children[0]
-            c1 = v.children[1]
-            emit(Triple.of(c0.label, c1.label, _uncle_or_cousin(c0)))
-            if degree == 2:
-                v.children = []
-                v.label = c0.label
-                i += 1
-            else:
-                v.children.remove(c0)
+            atoms.extend(Fan.of(*fan) for fan in itertools.combinations(kids, 3))
+        if outsider is not None:
+            pairs = [kids[-2:]] if hard else itertools.pairwise(kids)
+            atoms.extend(Triple.of(a, b, outsider) for a, b in pairs)
+        stands[nd] = kids[-2]
+
+    for level in reversed(levels):
+        for parent in level:
+            sibs = parent.children
+            shown = [min(map(current, s.children)) if s.children else s.label for s in sibs]
+            for i, nd in enumerate(sibs):
+                if nd.children:
+                    handle(nd, min(shown[:i] + shown[i + 1:]))
+                    shown[i] = stands[nd]
+    if tree.children:
+        handle(tree, None)
     return atoms
 
 

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .engine import Engine, PropagateResult
+from .engine import Engine, EngineCheckpoint, PropagateResult
 from .phylo import (
     Atom,
     Fan,
@@ -502,17 +502,24 @@ def attach_labels(
     """
     targets: dict[int, str] = {}
 
-    def mrca(nd: PhyloTree, wanted: frozenset[str]) -> PhyloTree:
-        while True:
-            for c in nd.children:
-                if wanted <= leaf_labels(c):
-                    nd = c
-                    break
-            else:
-                return nd
+    def mrca(wanted: frozenset[str]) -> PhyloTree:
+        """The deepest node with every wanted leaf below it, else the root.
+
+        fold meets every node after its descendants, so the first node
+        whose count of wanted leaves is full is the mrca.
+        """
+        full: list[PhyloTree] = []
+
+        def tally(nd: PhyloTree, count: int) -> int:
+            if count == len(wanted):
+                full.append(nd)
+            return count
+
+        fold(tree, lambda nd: tally(nd, nd.label in wanted), lambda nd, kids: tally(nd, sum(kids)))
+        return full[0] if full else tree
 
     for label in sorted(desc_map):
-        spot = mrca(tree, desc_map[label])
+        spot = mrca(desc_map[label])
         if spot.is_leaf:
             raise IncompatibleNestedError(f"taxon {label!r} collapses onto a single species")
         if id(spot) in targets:
@@ -552,33 +559,43 @@ def enumerate_supertrees(model: SupertreeModel, limit: int) -> list[PhyloTree]:
     lbs, ubs = store.lbs, store.ubs
     out: list[PhyloTree] = []
     seen: set[str] = set()
+    branches: list[list[int]] = []  # open search nodes: [cell, next value, last value]
+    checkpoints: list[EngineCheckpoint] = []  # one per open child, taken before its assignment
 
-    def rec() -> None:
+    def expand() -> bool:
+        """At a fixpoint: open a branch on the narrowest unfixed cell, or
+        record the tree when every cell is fixed."""
         best = -1
         best_width = 0
         for v in cells:
             w = ubs[v] - lbs[v]
             if w > 0 and (best < 0 or w < best_width):
                 best, best_width = v, w
-        if best < 0:
-            tree = matrix_to_tree(model.lb_matrix())
-            key = canonical_form(tree)
-            if key not in seen:
-                seen.add(key)
-                out.append(tree)
-            return
-        lo, hi = lbs[best], ubs[best]
-        for val in range(lo, hi + 1):
-            if len(out) >= limit:
-                return
-            cp = engine.checkpoint()
-            engine.stats.search_nodes += 1
-            store.assign(best, val)
-            if engine.propagate() is PropagateResult.FIXPOINT:
-                rec()
-            engine.restore(cp)
+        if best >= 0:
+            branches.append([best, lbs[best], ubs[best]])
+            return True
+        tree = matrix_to_tree(model.lb_matrix())
+        key = canonical_form(tree)
+        if key not in seen:
+            seen.add(key)
+            out.append(tree)
+        return False
 
-    rec()
+    expand()
+    while branches:  # depth-first, no recursion: a search may fix every cell in turn
+        branch = branches[-1]
+        cell, val, hi = branch
+        if val > hi or len(out) >= limit:
+            branches.pop()
+            if checkpoints:
+                engine.restore(checkpoints.pop())
+            continue
+        branch[1] = val + 1
+        checkpoints.append(engine.checkpoint())
+        engine.stats.search_nodes += 1
+        store.assign(cell, val)
+        if not (engine.propagate() is PropagateResult.FIXPOINT and expand()):
+            engine.restore(checkpoints.pop())
     return out[:limit]
 
 

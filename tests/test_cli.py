@@ -154,6 +154,15 @@ def test_enumerate_limit_and_payload(tmp_path, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
 
+def test_enumerate_wide_star_is_iterative(tmp_path, capsys):
+    # no atoms and 1,770 open cells: the search fixes them one at a time
+    star = "(" + ",".join(f"s{i:02d}" for i in range(60)) + ");"
+    f1 = _write(tmp_path, "star.nwk", star + "\n")
+    assert main(["enumerate", f1, "--soft", "--limit", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and isomorphic(parse_newick(out[0]), parse_newick(star))
+
+
 def test_gen_deterministic(tmp_path, capsys):
     assert main(["gen", "--leaves", "6", "--trees", "3", "--seed", "7"]) == 0
     first = capsys.readouterr().out
@@ -245,10 +254,3 @@ def test_build_nested_taxa_end_to_end(tmp_path, capsys):
     assert main(["build", f1, f3, "--mode", "soft"]) == 1
     _, err = capsys.readouterr()
     assert json.loads(err.strip())["result"] == "incompatible-nested"
-
-
-def test_bench_outputs_table(tmp_path, capsys):
-    assert main(["bench", "--sizes", "8,12", "--trees", "2", "--seed", "1"]) == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert [r["n"] for r in rows] == [8, 12]
-    assert all(r["result"] == "compatible" and r["search_nodes"] == 0 for r in rows)

@@ -182,6 +182,16 @@ def test_attach_labels_on_a_deep_tree():
     assert perfectly_displays(labelled, labelled)
 
 
+def test_attach_labels_errors_name_the_taxa():
+    tree = parse_newick("((a,b),(c,d));")
+    with pytest.raises(IncompatibleNestedError, match="taxon 'P' collapses onto a single species"):
+        attach_labels(tree, {"P": frozenset({"c"})}, [])
+    with pytest.raises(IncompatibleNestedError, match="taxa 'P' and 'Q' need the same node"):
+        attach_labels(tree, {"P": frozenset({"a", "b"}), "Q": frozenset({"b", "a"})}, [])
+    labelled = attach_labels(tree, {"P": frozenset({"a", "b"}), "Q": frozenset({"a", "d"})}, [])
+    assert serialize_newick(labelled) == "((a,b)P,(c,d))Q;"
+
+
 def test_attach_labels_collision_reports_incompatible():
     f = _forest("((a,b)P,c);", "((a,b)Q,c);")
     model = build_model(f, "soft")

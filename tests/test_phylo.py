@@ -269,6 +269,22 @@ def test_soft_breakup_examples():
     ]
 
 
+# The outsider is the smallest current leaf under the siblings: a collapsed
+# sibling shows only the leaf it stands for (its second-to-last child's).
+@pytest.mark.parametrize(
+    "newick, hard, soft",
+    [
+        ("((c,b),(a,d));", ["(b,c)a", "(a,d)c"], ["(b,c)a", "(a,d)c"]),
+        ("((a,d),(c,b));", ["(a,d)b", "(b,c)a"], ["(a,d)b", "(b,c)a"]),
+        ("(((c,b,a),d),e);", ["(a,b,c)", "(a,b)d", "(b,d)e"], ["(b,c)d", "(a,b)d", "(b,d)e"]),
+    ],
+)
+def test_breakup_outsider_is_the_collapsed_siblings_leaf(newick, hard, soft):
+    tree = parse_newick(newick)
+    assert [str(a) for a in hard_breakup(tree)] == hard
+    assert [str(a) for a in soft_breakup(tree)] == soft
+
+
 def test_breakup_small_trees_empty():
     assert hard_breakup(parse_newick("(a,b);")) == []
     assert soft_breakup(parse_newick("(a,b);")) == []
