@@ -165,9 +165,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     model = build_model(_load_forest(args.files), args.mode)
-    for tree in enumerate_supertrees(model, args.limit):
+    trees = enumerate_supertrees(model, args.limit)
+    for tree in trees:
         print(serialize_newick(tree))
-    return EXIT_OK
+    # limit >= 1 and the first tree found is cp_build's, so none means incompatible
+    return EXIT_OK if trees else EXIT_INCOMPATIBLE
 
 
 def _cmd_gen(args) -> int:

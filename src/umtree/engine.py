@@ -5,27 +5,19 @@ which the engine coalesces per propagator and dispatches FIFO until no
 propagator can narrow any domain (fixpoint) or the store fails. A
 dequeued propagator is woken once with every variable that changed since
 its last wake. Events generated during a wake are buffered in the store
-and routed after the wake returns, so a propagator can re-wake itself. A
-propagator that declares entailment is never scheduled again.
+and routed after the wake returns, so a propagator can re-wake itself.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import or_
 from typing import Optional, Sequence
 
 from .store import Checkpoint, Event, Store
-
-
-class Wake(Enum):
-    """Outcome of a single propagator wake."""
-
-    PROGRESS = 0
-    ENTAILED = 1
 
 
 class PropagateResult(Enum):
@@ -46,30 +38,27 @@ class RunStats:
     peak_vars: int = 0
     peak_propagators: int = 0
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 class Propagator:
     """Base class: narrows domains when woken by events on watched vars.
 
-    Subclasses implement wake(store, changed, events) and may only narrow
-    domains. `changed` maps every watched variable that changed since the
-    last wake to its coalesced event mask, and `events` is the union of
-    those masks. The key None stands for the initial wake right after
-    registration, with event kinds MIN | MAX so a full filter runs.
+    Subclasses implement wake(store, changed, events), which returns
+    nothing and may only narrow domains. `changed` maps every watched
+    variable that changed since the last wake to its coalesced event
+    mask, and `events` is the union of those masks. The key None stands
+    for the initial wake right after registration, with event kinds
+    MIN | MAX so a full filter runs.
     """
 
-    __slots__ = ("watched", "wake_count", "entailed", "_queued", "_pending")
+    __slots__ = ("watched", "wake_count", "_queued", "_pending")
 
     def __init__(self, watched: Sequence[int]):
         self.watched = tuple(watched)
         self.wake_count = 0
-        self.entailed = False
         self._queued = False
         self._pending: dict[Optional[int], int] = {}
 
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> Wake:
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
         raise NotImplementedError
 
 
@@ -77,7 +66,6 @@ class Propagator:
 class EngineCheckpoint:
     store_cp: Checkpoint
     n_propagators: int
-    entail_len: int
 
 
 class Engine:
@@ -95,20 +83,17 @@ class Engine:
         self.stats = RunStats()
         self._subs: list[list[Propagator]] = []
         self._queue: deque[Propagator] = deque()
-        self._entail_trail: list[Propagator] = []
         self._rng = rng
 
     # -- registration ---------------------------------------------------
 
-    def register(self, p: Propagator, watched: Sequence[int] | None = None) -> None:
+    def register(self, p: Propagator) -> None:
         """Subscribe p to its watched variables and schedule it once.
 
         No-op on a failed store (propagate will just report the failure).
         """
         if self.store.failed:
             return
-        if watched is not None:
-            p.watched = tuple(watched)
         subs = self._subs
         while len(subs) < self.store.num_vars:
             subs.append([])
@@ -133,8 +118,6 @@ class Engine:
             if var >= nsubs:
                 continue
             for q in subs[var]:
-                if q.entailed:
-                    continue
                 pend = q._pending
                 pend[var] = pend.get(var, 0) | ev  # store events are never 0
                 if not q._queued:
@@ -166,9 +149,7 @@ class Engine:
             p._pending = {}
             p.wake_count += 1
             stats.wakes += 1
-            if p.wake(store, changed, reduce(or_, changed.values())) is Wake.ENTAILED:
-                p.entailed = True
-                self._entail_trail.append(p)
+            p.wake(store, changed, reduce(or_, changed.values()))
 
     # -- checkpoints ------------------------------------------------------
 
@@ -179,18 +160,14 @@ class Engine:
         return EngineCheckpoint(
             store_cp=self.store.checkpoint(),
             n_propagators=len(self.propagators),
-            entail_len=len(self._entail_trail),
         )
 
     def restore(self, cp: EngineCheckpoint) -> None:
-        """Undo domains, registrations and entailment back to checkpoint."""
+        """Undo domains and registrations back to checkpoint."""
         for q in self._queue:
             q._queued = False
             q._pending.clear()
         self._queue.clear()
-        for p in self._entail_trail[cp.entail_len:]:
-            p.entailed = False
-        del self._entail_trail[cp.entail_len:]
         # registrations appended after the checkpoint sit at list tails
         for p in reversed(self.propagators[cp.n_propagators:]):
             for v in reversed(p.watched):

@@ -57,12 +57,14 @@ def random_forest(
     """Compatible forest: leaf-subset restrictions of one random tree."""
     if not 0.0 <= prune < 1.0:
         raise ValueError("prune must be in [0, 1)")
+    if n_trees < 1:
+        raise ValueError(f"n_trees must be at least 1, got {n_trees}")
     labels = species_labels(n_leaves)
     master = random_tree(labels, rng, binary=binary)
     subsets = []
     for _ in range(n_trees):
         subset = {lab for lab in labels if rng.random() >= prune}
-        while len(subset) < 2:
+        while len(subset) < min(2, n_leaves):
             subset.add(rng.choice(labels))
         subsets.append(subset)
     for lab in labels:  # every species occurs somewhere in the forest

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .engine import Engine, Propagator, Wake
+from .engine import Engine, Propagator
 from .store import Store
 from .phylo import Fan, Triple
 from .ultrametric import MrcaMatrix
@@ -28,15 +28,10 @@ class Less(Propagator):
         super().__init__((a, b))
         self.a, self.b = a, b
 
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> Wake:
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
         a, b = self.a, self.b
         store.tighten_lb(b, store.lbs[a] + 1)
-        if store.failed:
-            return Wake.PROGRESS
         store.tighten_ub(a, store.ubs[b] - 1)
-        if store.failed:
-            return Wake.PROGRESS
-        return Wake.ENTAILED if store.ubs[a] < store.lbs[b] else Wake.PROGRESS
 
 
 class LessEq(Propagator):
@@ -48,15 +43,10 @@ class LessEq(Propagator):
         super().__init__((a, b))
         self.a, self.b = a, b
 
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> Wake:
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
         a, b = self.a, self.b
         store.tighten_lb(b, store.lbs[a])
-        if store.failed:
-            return Wake.PROGRESS
         store.tighten_ub(a, store.ubs[b])
-        if store.failed:
-            return Wake.PROGRESS
-        return Wake.ENTAILED if store.ubs[a] <= store.lbs[b] else Wake.PROGRESS
 
 
 class Equal(Propagator):
@@ -68,17 +58,13 @@ class Equal(Propagator):
         super().__init__(vars_)
         self.vars = vars_
 
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> Wake:
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
         vs = self.vars
         lo = max(map(store.lbs.__getitem__, vs))
         hi = min(map(store.ubs.__getitem__, vs))
         for v in vs:
             store.tighten_lb(v, lo)
             store.tighten_ub(v, hi)
-            if store.failed:
-                return Wake.PROGRESS
-        # every bound now reads [lo, hi], so all are fixed exactly when lo == hi
-        return Wake.ENTAILED if lo == hi else Wake.PROGRESS
 
 
 def post_lt(engine: Engine, a: int, b: int) -> Less:

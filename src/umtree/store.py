@@ -20,23 +20,19 @@ class Event:
 
     MIN: the lower bound strictly increased.
     MAX: the upper bound strictly decreased.
-    FIX: the domain just became a singleton.
 
-    A single mutation can raise up to two of these (e.g. MIN | FIX).
-    Events travel as ints, so combining and testing them costs no enum
-    construction on the propagation hot path.
+    A tighten raises one of these and `assign` up to both. Events travel
+    as ints, so combining and testing them costs no enum construction on
+    the propagation hot path.
     """
 
     NONE = 0
     MIN = 1
     MAX = 2
-    FIX = 4
 
 
 _MIN = Event.MIN
 _MAX = Event.MAX
-_MIN_FIX = Event.MIN | Event.FIX
-_MAX_FIX = Event.MAX | Event.FIX
 _NONE = Event.NONE
 
 
@@ -117,15 +113,13 @@ class Store:
         old = lbs[v]
         if val <= old:
             return _NONE
-        ub = self.ubs[v]
-        if val > ub:
+        if val > self.ubs[v]:
             self.failed = True
             return _NONE
         self._trail.append((v, True, old))
         lbs[v] = val
-        ev = _MIN_FIX if val == ub else _MIN
-        self._events.append((v, ev))
-        return ev
+        self._events.append((v, _MIN))
+        return _MIN
 
     def tighten_ub(self, v: int, val: int) -> int:
         """Lower ub(v) to val. No-op if val >= ub; fails if val < lb."""
@@ -135,22 +129,17 @@ class Store:
         old = ubs[v]
         if val >= old:
             return _NONE
-        lb = self.lbs[v]
-        if val < lb:
+        if val < self.lbs[v]:
             self.failed = True
             return _NONE
         self._trail.append((v, False, old))
         ubs[v] = val
-        ev = _MAX_FIX if val == lb else _MAX
-        self._events.append((v, ev))
-        return ev
+        self._events.append((v, _MAX))
+        return _MAX
 
     def assign(self, v: int, val: int) -> int:
         """Fix v to val; equivalent to tighten_lb then tighten_ub."""
-        ev = self.tighten_lb(v, val)
-        if self.failed:
-            return _NONE
-        return ev | self.tighten_ub(v, val)
+        return self.tighten_lb(v, val) | self.tighten_ub(v, val)
 
     def take_events(self) -> list[tuple[int, int]]:
         """Drain and return all undispatched (var, event) pairs."""

@@ -6,8 +6,8 @@ strictly greater. This module provides
 
 * `lb_fix` / `ub_fix`: single-pass bound filters for one variable triple,
 * a three-variable propagator (`UltrametricThree`) that reaches bounds
-  consistency per wake and detects entailment; the tests use it as the
-  reference for the matrix propagator,
+  consistency per wake; the tests use it as the reference for the
+  matrix propagator,
 * a whole-matrix propagator (`UltrametricMatrix`) that enforces the
   relation over every index triple of a symmetric matrix of variables
   while storing only one propagator object (constant code representation
@@ -28,10 +28,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import Engine, Propagator, Wake
+from .engine import Engine, Propagator
 from .store import Event, Store
-
-_LB_EVENTS = Event.MIN | Event.FIX
 
 
 def lb_fix(store: Store, x: int, y: int, z: int) -> None:
@@ -79,35 +77,20 @@ def ub_fix(store: Store, x: int, y: int, z: int) -> None:
             store.tighten_ub(c, su)
 
 
-def um3_apply(store: Store, x: int, y: int, z: int, events: int) -> None:
-    """Run the bound filters demanded by the coalesced event kinds.
+def um3_wake(store: Store, x: int, y: int, z: int, events: int) -> None:
+    """One wake over a variable triple: the filters its event kinds demand.
 
     A lower-bound change can invalidate both lower and upper bounds, so
-    MIN and FIX run lb_fix then ub_fix; an upper-bound change can only
+    MIN runs lb_fix then ub_fix; an upper-bound change can only
     invalidate upper bounds, so MAX alone runs ub_fix. ub_fix is skipped
     when lb_fix already failed the store.
     """
-    if events & _LB_EVENTS:
+    if events & Event.MIN:
         lb_fix(store, x, y, z)
         if not store.failed:
             ub_fix(store, x, y, z)
     elif events & Event.MAX:
         ub_fix(store, x, y, z)
-
-
-def um3_wake(store: Store, x: int, y: int, z: int, events: int) -> Wake:
-    """One propagator wake over a variable triple.
-
-    Returns ENTAILED as soon as at least two of the three domains are
-    singletons: any further narrowing of the third is then consistent, so
-    the propagator can never prune again.
-    """
-    um3_apply(store, x, y, z, events)
-    if store.failed:
-        return Wake.PROGRESS
-    lbs, ubs = store.lbs, store.ubs
-    fixed = (lbs[x] == ubs[x]) + (lbs[y] == ubs[y]) + (lbs[z] == ubs[z])
-    return Wake.ENTAILED if fixed >= 2 else Wake.PROGRESS
 
 
 class UltrametricThree(Propagator):
@@ -125,8 +108,8 @@ class UltrametricThree(Propagator):
         super().__init__((x, y, z))
         self.x, self.y, self.z = x, y, z
 
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> Wake:
-        return um3_wake(store, self.x, self.y, self.z, events)
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
+        um3_wake(store, self.x, self.y, self.z, events)
 
 
 def post_um3(engine: Engine, x: int, y: int, z: int) -> UltrametricThree:
@@ -264,7 +247,7 @@ class UltrametricMatrix(Propagator):
         super().__init__(matrix.cell_vars)
         self.matrix = matrix
 
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> Wake:
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
         mat = self.matrix
         n = mat.n
         cells = [v for v in changed if v is not None]
@@ -276,7 +259,7 @@ class UltrametricMatrix(Propagator):
             x, ids = mat.row_pairs(batch)
             # lb(x) where it rose and ub(x) where it fell; elsewhere a
             # sentinel under which no rule narrows
-            a = np.array([store.lbs[v] if changed[v] & _LB_EVENTS else _LOW for v in batch])[:, None, None]
+            a = np.array([store.lbs[v] if changed[v] & Event.MIN else _LOW for v in batch])[:, None, None]
             b = np.array([store.ubs[v] if changed[v] & Event.MAX else _HIGH for v in batch])[:, None, None]
             lb, ub = lbs[ids], ubs[ids]
             # the other cell of the triple sits in the other row, same slot
@@ -290,8 +273,7 @@ class UltrametricMatrix(Propagator):
             _tighten_strongest(store.tighten_lb, ids[up], new_lb[up], largest=True)
             _tighten_strongest(store.tighten_ub, ids[down], new_ub[down], largest=False)
             if store.failed:
-                return Wake.PROGRESS
-        return Wake.PROGRESS
+                return
 
 
 def post_um_matrix(engine: Engine, matrix: MrcaMatrix) -> UltrametricMatrix:
@@ -325,7 +307,7 @@ class DelayedDisjunctionUm3(Propagator):
         hi = min(store.ubs[u], store.ubs[v])
         return lo <= hi and store.ubs[top] >= lo + 1
 
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> Wake:
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
         x, y, z = self.x, self.y, self.z
         lbs, ubs = store.lbs, store.ubs
         feas = [
@@ -337,17 +319,15 @@ class DelayedDisjunctionUm3(Propagator):
         alive = feas.count(True)
         if alive == 0:
             store.fail()
-            return Wake.PROGRESS
+            return
         if alive > 1:
-            return Wake.PROGRESS
+            return
         if feas[3]:
             lo = max(lbs[x], lbs[y], lbs[z])
             hi = min(ubs[x], ubs[y], ubs[z])
             for v in (x, y, z):
                 store.tighten_lb(v, lo)
                 store.tighten_ub(v, hi)
-                if store.failed:
-                    return Wake.PROGRESS
         else:
             top, u, v = ((x, y, z), (y, x, z), (z, x, y))[feas.index(True)]
             lo = max(lbs[u], lbs[v])
@@ -355,10 +335,7 @@ class DelayedDisjunctionUm3(Propagator):
             for w in (u, v):
                 store.tighten_lb(w, lo)
                 store.tighten_ub(w, hi)
-                if store.failed:
-                    return Wake.PROGRESS
             store.tighten_lb(top, lo + 1)
-        return Wake.PROGRESS
 
 
 def post_delayed_disjunction_um3(engine: Engine, x: int, y: int, z: int) -> DelayedDisjunctionUm3:

@@ -26,7 +26,7 @@ from umtree import (
     post_um3,
     tree_to_matrix,
 )
-from umtree.engine import Propagator, Wake
+from umtree.engine import Propagator
 from umtree.phylo import all_labels
 from umtree.ultrametric import MrcaMatrix
 
@@ -115,7 +115,6 @@ class RowWakeMatrix(Propagator):
                 self.row_wake(store, var, ev)
                 if store.failed:
                     break
-        return Wake.PROGRESS
 
     def row_wake(self, store, var, events):
         mat = self.matrix
@@ -125,7 +124,7 @@ class RowWakeMatrix(Propagator):
         lbs, ubs = store.lbs, store.ubs
         a, A = lbs[var], ubs[var]
         lu, lw = row_i(lbs), row_j(lbs)
-        if events & (Event.MIN | Event.FIX):
+        if events & Event.MIN:
             # lb(u) >= min(lb(x), lb(w)) and lb(w) >= min(lb(x), lb(u))
             mask = list(map(ne, lu, lw))
             mask[i] = mask[j] = False

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import umtree
 from umtree import cli, displays, isomorphic, parse_newick, parse_newick_many
 from umtree.cli import main
 
@@ -161,6 +166,31 @@ def test_enumerate_wide_star_is_iterative(tmp_path, capsys):
     assert main(["enumerate", f1, "--soft", "--limit", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 1 and isomorphic(parse_newick(out[0]), parse_newick(star))
+
+
+def test_enumerate_incompatible_exit_1(tmp_path, capsys):
+    f1 = _write(tmp_path, "t.nwk", "((a,b),c);\n((a,c),b);\n")
+    assert main(["enumerate", f1]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_gen_one_leaf_terminates(tmp_path, capsys):
+    # run in a child process so that a generator that never returns fails on the timeout
+    src = str(Path(umtree.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "umtree.cli", "gen", "--leaves", "1", "--trees", "2"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0 and proc.stdout == "s000;\ns000;\n"
+    forest = _write(tmp_path, "one.nwk", proc.stdout)
+    assert main(["build", forest]) == 0
+    assert capsys.readouterr().out == "s000;\n"
+
+
+def test_gen_without_trees_is_usage_error(capsys):
+    assert main(["gen", "--leaves", "5", "--trees", "0"]) == 2
+    assert "n_trees must be at least 1" in capsys.readouterr().err
 
 
 def test_gen_deterministic(tmp_path, capsys):

@@ -10,7 +10,7 @@ from umtree import (
     post_lt,
     post_um3,
 )
-from umtree.engine import Propagator, Wake
+from umtree.engine import Propagator
 
 
 def test_register_eq_initial_propagation():
@@ -119,20 +119,6 @@ def test_confluence_random_queue_order():
     assert fixpoints > 10  # the sample exercises both outcomes
 
 
-def test_entailed_propagator_never_wakes_again():
-    s = Store()
-    e = Engine(s)
-    a, b = s.new_var(1, 2), s.new_var(5, 9)
-    p = post_lt(e, a, b)  # already entailed: ub(a) < lb(b)
-    assert e.propagate() is PropagateResult.FIXPOINT
-    assert p.entailed
-    count = p.wake_count
-    s.tighten_lb(b, 7)
-    s.tighten_ub(a, 1)
-    assert e.propagate() is PropagateResult.FIXPOINT
-    assert p.wake_count == count
-
-
 class _SelfRewaker(Propagator):
     """Raises its variable's lb by one per wake, up to a target."""
 
@@ -143,7 +129,6 @@ class _SelfRewaker(Propagator):
     def wake(self, store, var, events):
         if store.lbs[self.v] < self.target:
             store.tighten_lb(self.v, store.lbs[self.v] + 1)
-        return Wake.PROGRESS
 
 
 def test_wake_effects_are_redispatched_including_self():
@@ -202,21 +187,19 @@ def test_engine_checkpoint_requires_fixpoint():
         e.checkpoint()  # initial wake still queued
 
 
-def test_engine_restore_unregisters_and_unentails():
+def test_engine_restore_unregisters():
     s = Store()
     e = Engine(s)
     a, b = s.new_var(1, 9), s.new_var(1, 9)
     assert e.propagate() is PropagateResult.FIXPOINT
     cp = e.checkpoint()
-    p = post_lt(e, a, b)
+    post_lt(e, a, b)
     assert e.propagate() is PropagateResult.FIXPOINT
     s.assign(a, 1)
     s.assign(b, 9)
     assert e.propagate() is PropagateResult.FIXPOINT
-    assert p.entailed
     e.restore(cp)
     assert e.propagators == []
-    assert not p.entailed
     assert s.domain(a) == (1, 9) and s.domain(b) == (1, 9)
     # domains free again: a new contradicting pair must still run
     post_lt(e, b, a)

@@ -29,7 +29,7 @@ def test_tighten_lb_examples():
 
     s = Store()
     v = s.new_var(1, 4)
-    assert s.tighten_lb(v, 4) == Event.MIN | Event.FIX
+    assert s.tighten_lb(v, 4) == Event.MIN
     assert s.domain(v) == (4, 4)
 
     s = Store()
@@ -46,7 +46,7 @@ def test_tighten_ub_examples():
 
     s = Store()
     v = s.new_var(1, 4)
-    assert s.tighten_ub(v, 1) == Event.MAX | Event.FIX
+    assert s.tighten_ub(v, 1) == Event.MAX
 
     s = Store()
     v = s.new_var(2, 4)
@@ -65,7 +65,7 @@ def test_tighten_noop_keeps_silent():
 def test_assign_examples():
     s = Store()
     v = s.new_var(1, 4)
-    assert s.assign(v, 3) == Event.MIN | Event.MAX | Event.FIX
+    assert s.assign(v, 3) == Event.MIN | Event.MAX
     assert s.domain(v) == (3, 3)
     assert s.assign(v, 3) == Event.NONE  # idempotent
 
@@ -170,7 +170,6 @@ def test_event_soundness_random():
         nlo, nhi = s.domain(v)
         assert bool(ev & Event.MIN) == (nlo > lo)
         assert bool(ev & Event.MAX) == (nhi < hi)
-        assert bool(ev & Event.FIX) == (nlo == nhi and lo != hi and ev != Event.NONE)
 
 
 def test_restore_exactness_random():

@@ -27,7 +27,6 @@ from umtree import (
     species_labels,
     tree_to_matrix,
 )
-from umtree.engine import Wake
 from umtree.relations import post_atom
 from umtree.phylo import Fan, Triple
 from umtree.supertree import apply_side
@@ -108,14 +107,14 @@ def test_um3_wake_min_event_example():
 def test_um3_wake_two_equal_singletons_entailed():
     s = Store()
     x, y, z = _vars(s, (5, 5), (5, 5), (3, 9))
-    assert um3_wake(s, x, y, z, Event.FIX) is Wake.ENTAILED
+    um3_wake(s, x, y, z, Event.MIN)
     assert s.domain(z) == (5, 9)
 
 
 def test_um3_wake_two_distinct_singletons_entailed():
     s = Store()
     x, y, z = _vars(s, (3, 3), (7, 7), (1, 9))
-    assert um3_wake(s, x, y, z, Event.FIX) is Wake.ENTAILED
+    um3_wake(s, x, y, z, Event.MIN)
     assert s.domain(z) == (3, 3)
 
 
@@ -159,22 +158,6 @@ def test_lower_bounds_mutually_supportive_at_fixpoint():
 def test_upper_bounds_need_not_be_supportive():
     # a genuine fixpoint whose ubs (3,2,1) do not tie for the minimum
     assert um3_fixpoint(((1, 3), (1, 2), (1, 1))) == ((1, 3), (1, 2), (1, 1))
-
-
-def test_entailment_is_safe():
-    # after ENTAILED, no narrowing of the free variable enables pruning
-    s = Store()
-    x, y, z = _vars(s, (5, 5), (5, 5), (3, 9))
-    assert um3_wake(s, x, y, z, Event.FIX) is Wake.ENTAILED
-    zl, zu = s.domain(z)
-    for lo in range(zl, zu + 1):
-        for hi in range(lo, zu + 1):
-            s2 = Store()
-            xs = _vars(s2, (5, 5), (5, 5), (lo, hi))
-            e = Engine(s2)
-            post_um3(e, *xs)
-            assert e.propagate() is PropagateResult.FIXPOINT
-            assert [s2.domain(v) for v in xs] == [(5, 5), (5, 5), (lo, hi)]
 
 
 def test_um3_wake_constant_bound_writes(monkeypatch):
@@ -356,7 +339,7 @@ def test_matrix_wake_narrows_only_its_rows_like_the_triple_wakes():
 def test_matrix_closed_forms_equal_um3_on_every_box_triple():
     # every triple of domains within [1, 5] (3,375 cases): the matrix
     # propagator's closed forms on the cells of species 0, 1, 2 reach the
-    # fixpoint of iterating um3_apply; the other cells span [1, 5] and
+    # fixpoint of iterating um3_wake; the other cells span [1, 5] and
     # stay consistent
     boxes = [(lo, hi) for lo in range(1, 6) for hi in range(lo, 6)]
     for triple in itertools.product(boxes, repeat=3):
