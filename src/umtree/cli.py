@@ -152,10 +152,12 @@ def _cmd_breakup(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    supertree = _read_trees([args.supertree])[0]
+    supertree = _read_trees([args.supertree])
+    if len(supertree) != 1:
+        raise ValueError(f"{args.supertree}: expected exactly one supertree, found {len(supertree)}")
     for t in _read_trees(args.inputs):
         try:
-            ok = displays(supertree, t)
+            ok = displays(supertree[0], t)
         except ValueError:
             ok = False  # input has species the supertree lacks
         if not ok:

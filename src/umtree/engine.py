@@ -4,8 +4,8 @@ Propagators subscribe to variables; bound mutations raise domain events
 which the engine coalesces per propagator and dispatches FIFO until no
 propagator can narrow any domain (fixpoint) or the store fails. A
 dequeued propagator is woken once with every variable that changed since
-its last wake. Events generated during a wake are buffered in the store
-and routed after the wake returns, so a propagator can re-wake itself.
+its last wake. Events generated during a wake wait on the store's trail
+and are routed after the wake returns, so a propagator can re-wake itself.
 """
 
 from __future__ import annotations
@@ -47,15 +47,15 @@ class Propagator:
     variable that changed since the last wake to its coalesced event
     mask, and `events` is the union of those masks. The key None stands
     for the initial wake right after registration, with event kinds
-    MIN | MAX so a full filter runs.
+    MIN | MAX so a full filter runs. The propagator is queued exactly
+    while that map, `_pending`, is non-empty.
     """
 
-    __slots__ = ("watched", "wake_count", "_queued", "_pending")
+    __slots__ = ("watched", "wake_count", "_pending")
 
     def __init__(self, watched: Sequence[int]):
         self.watched = tuple(watched)
         self.wake_count = 0
-        self._queued = False
         self._pending: dict[Optional[int], int] = {}
 
     def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
@@ -95,13 +95,11 @@ class Engine:
         if self.store.failed:
             return
         subs = self._subs
-        while len(subs) < self.store.num_vars:
-            subs.append([])
+        subs.extend([] for _ in range(self.store.num_vars - len(subs)))
         self.propagators.append(p)
         for v in p.watched:
             subs[v].append(p)
         p._pending[None] = _INITIAL_EVENTS
-        p._queued = True
         self._queue.append(p)
         if len(self.propagators) > self.stats.peak_propagators:
             self.stats.peak_propagators = len(self.propagators)
@@ -114,15 +112,14 @@ class Engine:
         subs = self._subs
         nsubs = len(subs)
         queue = self._queue
-        for var, ev in self.store.take_events():
+        for var, ev, _ in self.store.take_events():
             if var >= nsubs:
                 continue
             for q in subs[var]:
                 pend = q._pending
-                pend[var] = pend.get(var, 0) | ev  # store events are never 0
-                if not q._queued:
-                    q._queued = True
+                if not pend:
                     queue.append(q)
+                pend[var] = pend.get(var, 0) | ev
 
     def _pop(self) -> Propagator:
         queue = self._queue
@@ -144,7 +141,6 @@ class Engine:
             if not self._queue:
                 return PropagateResult.FIXPOINT
             p = self._pop()
-            p._queued = False
             changed = p._pending
             p._pending = {}
             p.wake_count += 1
@@ -165,7 +161,6 @@ class Engine:
     def restore(self, cp: EngineCheckpoint) -> None:
         """Undo domains and registrations back to checkpoint."""
         for q in self._queue:
-            q._queued = False
             q._pending.clear()
         self._queue.clear()
         # registrations appended after the checkpoint sit at list tails

@@ -117,9 +117,10 @@ def all_labels(tree: PhyloTree) -> frozenset[str]:
     return frozenset(n.label for n in iter_nodes(tree) if n.label is not None)
 
 
-def validate_tree(tree: PhyloTree) -> None:
-    """Enforce unique labels and arity >= 2 on internal nodes."""
-    seen: set[str] = set()
+def validate_tree(tree: PhyloTree) -> dict[str, PhyloTree]:
+    """Enforce unique labels and arity >= 2 on internal nodes; return the
+    node of every label, leaf or taxon, in preorder."""
+    seen: dict[str, PhyloTree] = {}
     for n in iter_nodes(tree):
         if not n.is_leaf and len(n.children) < 2:
             raise ValueError("internal node with fewer than 2 children")
@@ -128,7 +129,8 @@ def validate_tree(tree: PhyloTree) -> None:
         if n.label is not None:
             if n.label in seen:
                 raise ValueError(f"duplicate label {n.label!r}")
-            seen.add(n.label)
+            seen[n.label] = n
+    return seen
 
 
 # -- relational atoms -------------------------------------------------------
@@ -251,13 +253,18 @@ def parse_newick(text: str) -> PhyloTree:
             pos = m.end()
 
     open_kids: list[list[PhyloTree]] = []  # child lists of the open "(", innermost last
+    leaves: set[str] = set()
     while True:
         skip_ws()
         if pos < size and text[pos] == "(":
             pos += 1
             open_kids.append([])
             continue
+        start = pos
         nd = PhyloTree(label=read_label())
+        if nd.label in leaves:
+            raise NewickParseError(start, f"duplicate leaf label {nd.label!r}")
+        leaves.add(nd.label)
         skip_branch_length()
         while open_kids:  # nd is complete: file it, then close every ")" that follows
             kids = open_kids[-1]
@@ -289,12 +296,6 @@ def parse_newick(text: str) -> PhyloTree:
     skip_ws()
     if pos != size:
         raise NewickParseError(pos, "trailing characters after ';'")
-    labels: set[str] = set()
-    for n in iter_nodes(nd):
-        if n.is_leaf:
-            if n.label in labels:
-                raise NewickParseError(0, f"duplicate leaf label {n.label!r}")
-            labels.add(n.label)
     return nd
 
 

@@ -1,12 +1,13 @@
-"""Integer variables with interval domains, domain events, and a trail.
+"""Integer variables with interval domains and one trail of domain events.
 
 A Store owns a flat pool of variables whose domains are integer intervals
 [lb, ub]. Mutations only narrow (raise lb / lower ub) and report which
 domain events they caused. A mutation that would cross the opposite bound
 marks the whole store failed instead of emptying the domain; once failed,
-no further events are emitted. Checkpoint/restore follows strict stack
-discipline and is trail-based, so restore cost is proportional to the
-number of mutations being undone.
+no further events are emitted. Each narrowing appends one trail record,
+which is both its undo record and its event. Checkpoint/restore follows
+strict stack discipline, so restore cost is proportional to the number
+of mutations being undone.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ class Event:
     MIN: the lower bound strictly increased.
     MAX: the upper bound strictly decreased.
 
-    A tighten raises one of these and `assign` up to both. Events travel
-    as ints, so combining and testing them costs no enum construction on
-    the propagation hot path.
+    A tighten raises one of these and `assign` up to both. The event of a
+    trail record also says which bound its old value restores. Events
+    travel as ints, so combining and testing them costs no enum
+    construction on the propagation hot path.
     """
 
     NONE = 0
@@ -42,7 +44,6 @@ class Checkpoint:
 
     depth: int
     trail_len: int
-    event_len: int
     failed: bool
 
 
@@ -51,37 +52,42 @@ class StaleCheckpointError(RuntimeError):
 
 
 class Store:
-    """Pool of interval-domain integer variables with trail and event log.
+    """Pool of interval-domain integer variables with one trail.
 
     Variables are identified by dense integer ids. Bound reads go through
     `lb`/`ub` (or the `lbs`/`ubs` arrays directly in propagator hot paths);
     both are constant-time. The bounds are signed 64-bit `array`s, so a
     propagator can read them through `np.frombuffer` without a copy; such
     a view must not outlive the wake, because an array with a live view
-    cannot grow in `new_var`. All mutations append undo records to the
-    trail and (var, event) pairs to an event log that the propagation
-    engine drains.
+    cannot grow in `new_vars`. Every narrowing appends one record
+    (var, Event.MIN or Event.MAX, old value) to the trail: restore undoes
+    it, and `take_events` hands it to the propagation engine once.
     """
 
-    __slots__ = ("lbs", "ubs", "failed", "_trail", "_events", "_cps")
+    __slots__ = ("lbs", "ubs", "failed", "_trail", "_taken", "_cps")
 
     def __init__(self) -> None:
         self.lbs = array("q")
         self.ubs = array("q")
         self.failed = False
-        self._trail: list[tuple[int, bool, int]] = []  # (var, is_lb, old value)
-        self._events: list[tuple[int, int]] = []
+        self._trail: list[tuple[int, int, int]] = []  # (var, event, old value)
+        self._taken = 0  # trail records already handed out by take_events
         self._cps: list[Checkpoint] = []
 
     # -- variables ----------------------------------------------------
 
+    def new_vars(self, count: int, lb: int, ub: int) -> range:
+        """Create `count` consecutive variables with domain [lb, ub]."""
+        if count and lb > ub:
+            raise ValueError(f"empty initial domain [{lb}, {ub}]")
+        start = len(self.lbs)
+        self.lbs.extend([lb] * count)
+        self.ubs.extend([ub] * count)
+        return range(start, start + count)
+
     def new_var(self, lb: int, ub: int) -> int:
         """Create a variable with domain [lb, ub] and return its id."""
-        if lb > ub:
-            raise ValueError(f"empty initial domain [{lb}, {ub}]")
-        self.lbs.append(lb)
-        self.ubs.append(ub)
-        return len(self.lbs) - 1
+        return self.new_vars(1, lb, ub)[0]
 
     @property
     def num_vars(self) -> int:
@@ -116,9 +122,8 @@ class Store:
         if val > self.ubs[v]:
             self.failed = True
             return _NONE
-        self._trail.append((v, True, old))
+        self._trail.append((v, _MIN, old))
         lbs[v] = val
-        self._events.append((v, _MIN))
         return _MIN
 
     def tighten_ub(self, v: int, val: int) -> int:
@@ -132,26 +137,24 @@ class Store:
         if val < self.lbs[v]:
             self.failed = True
             return _NONE
-        self._trail.append((v, False, old))
+        self._trail.append((v, _MAX, old))
         ubs[v] = val
-        self._events.append((v, _MAX))
         return _MAX
 
     def assign(self, v: int, val: int) -> int:
         """Fix v to val; equivalent to tighten_lb then tighten_ub."""
         return self.tighten_lb(v, val) | self.tighten_ub(v, val)
 
-    def take_events(self) -> list[tuple[int, int]]:
-        """Drain and return all undispatched (var, event) pairs."""
-        out = self._events
-        if out:
-            self._events = []
-        return out
+    def take_events(self) -> list[tuple[int, int, int]]:
+        """The trail records (var, event, old value) added since the last call."""
+        start = self._taken
+        self._taken = len(self._trail)
+        return self._trail[start:]
 
     # -- checkpoints ----------------------------------------------------
 
     def checkpoint(self) -> Checkpoint:
-        cp = Checkpoint(len(self._cps), len(self._trail), len(self._events), self.failed)
+        cp = Checkpoint(len(self._cps), len(self._trail), self.failed)
         self._cps.append(cp)
         return cp
 
@@ -159,19 +162,15 @@ class Store:
         """Revert all domains and the failed flag to checkpoint state.
 
         Pops cp and everything above it (stack discipline). Events raised
-        after the checkpoint are forgotten.
+        after the checkpoint are forgotten, and none is handed out twice.
         """
         if cp.depth >= len(self._cps) or self._cps[cp.depth] is not cp:
             raise StaleCheckpointError("checkpoint was already popped or belongs to another store")
         trail = self._trail
         lbs, ubs = self.lbs, self.ubs
-        for i in range(len(trail) - 1, cp.trail_len - 1, -1):
-            v, is_lb, old = trail[i]
-            if is_lb:
-                lbs[v] = old
-            else:
-                ubs[v] = old
+        for v, ev, old in reversed(trail[cp.trail_len:]):
+            (lbs if ev == _MIN else ubs)[v] = old
         del trail[cp.trail_len:]
-        del self._events[cp.event_len:]
+        self._taken = min(self._taken, cp.trail_len)
         del self._cps[cp.depth:]
         self.failed = cp.failed

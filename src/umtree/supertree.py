@@ -62,9 +62,12 @@ class IncompatibleNestedError(Exception):
 
 @dataclass
 class Forest:
-    """Input trees plus the index over the union of their leaf labels."""
+    """Input trees plus the index over the union of their leaf labels.
+    `labelled[t]` is what validating tree t returns: the node of each of
+    its labels, leaf or taxon, in preorder, so one walk reads each tree."""
 
     trees: tuple[PhyloTree, ...]
+    labelled: tuple[dict[str, PhyloTree], ...]
     species: tuple[str, ...]
     index: dict[str, int]
 
@@ -73,14 +76,25 @@ class Forest:
         trees = tuple(trees)
         if not trees:
             raise ValueError("empty forest")
-        for t in trees:
-            validate_tree(t)
-        species = tuple(sorted(set().union(*(leaf_labels(t) for t in trees))))
-        return Forest(trees, species, {s: i for i, s in enumerate(species)})
+        labelled = tuple(map(validate_tree, trees))
+        leaves = {lab for nodes in labelled for lab, nd in nodes.items() if not nd.children}
+        species = tuple(sorted(leaves))
+        return Forest(trees, labelled, species, {s: i for i, s in enumerate(species)})
 
     @property
     def n(self) -> int:
         return len(self.species)
+
+    @property
+    def taxa(self) -> dict[str, list[tuple[int, PhyloTree]]]:
+        """The (tree index, node) of every internal node carrying a taxon
+        label, by label, in tree order (labels are unique within a tree)."""
+        out: dict[str, list[tuple[int, PhyloTree]]] = {}
+        for ti, nodes in enumerate(self.labelled):
+            for label, nd in nodes.items():
+                if nd.children:
+                    out.setdefault(label, []).append((ti, nd))
+        return out
 
 
 # -- side constraints ---------------------------------------------------------
@@ -387,17 +401,6 @@ def explain_conflict(forest: Forest, mode: str = "hard") -> ConflictCore:
 # -- nested taxa -----------------------------------------------------------------
 
 
-def _taxon_index(trees: Sequence[PhyloTree]) -> dict[str, list[tuple[int, PhyloTree]]]:
-    """The (tree index, node) of every internal node carrying a taxon
-    label, by label, in tree order (labels are unique within a tree)."""
-    out: dict[str, list[tuple[int, PhyloTree]]] = {}
-    for ti, t in enumerate(trees):
-        for nd in iter_nodes(t):
-            if not nd.is_leaf and nd.label is not None:
-                out.setdefault(nd.label, []).append((ti, nd))
-    return out
-
-
 def _substitute_leaf(tree: PhyloTree, label: str, replacement: PhyloTree) -> PhyloTree:
     return fold(
         tree,
@@ -414,20 +417,20 @@ def nested_preprocess(forest: Forest) -> Forest:
     occur on leaves in every tree are ordinary species and are left
     alone. Self-containing taxon arrangements (which would substitute
     forever or duplicate a label inside one tree) raise
-    NestedContradictionError.
+    NestedContradictionError. Each substitution rebuilds the forest: one
+    walk validates it, re-indexes the taxa and finds the pending leaves.
     """
-    trees = list(forest.trees)
-    taxa = _taxon_index(trees)
-    budget = (len(taxa) + 1) * len(trees) + 1
+    taxa = forest.taxa
+    budget = (len(taxa) + 1) * len(forest.trees) + 1
     while True:
         pending = [
-            (ti, nd.label)
-            for ti, t in enumerate(trees)
-            for nd in iter_nodes(t)
-            if nd.is_leaf and nd.label in taxa
+            (ti, label)
+            for ti, nodes in enumerate(forest.labelled)
+            for label, nd in nodes.items()
+            if not nd.children and label in taxa
         ]
         if not pending:
-            break
+            return forest
         budget -= 1
         if budget < 0:
             raise NestedContradictionError("taxa contain each other; substitution cannot finish")
@@ -437,23 +440,22 @@ def nested_preprocess(forest: Forest) -> Forest:
             raise NestedContradictionError(
                 f"taxon {label!r} is used as enclosing but no subtree defines it"
             )
-        candidate = _substitute_leaf(trees[ti], label, source)
+        trees = list(forest.trees)
+        trees[ti] = _substitute_leaf(trees[ti], label, source)
         try:
-            validate_tree(candidate)
+            forest = Forest.from_trees(trees)
         except ValueError as e:
             raise NestedContradictionError(
                 f"substituting taxon {label!r} into tree {ti} duplicates labels: {e}"
             ) from None
-        trees[ti] = candidate
-        taxa = _taxon_index(trees)
-    return Forest.from_trees(trees)
+        taxa = forest.taxa
 
 
 def taxa_descendants(forest: Forest) -> dict[str, frozenset[str]]:
     """Union over all trees of the leaf descendants of each enclosing taxon."""
     return {
         label: frozenset().union(*(leaf_labels(nd) for _, nd in scopes))
-        for label, scopes in _taxon_index(forest.trees).items()
+        for label, scopes in forest.taxa.items()
     }
 
 
@@ -466,7 +468,7 @@ def apply_nested_taxa(model: SupertreeModel, forest: Forest) -> dict[str, int]:
     the same tree. Input must be preprocessed (taxa on internal nodes).
     """
     n = forest.n
-    for label, scopes in sorted(_taxon_index(forest.trees).items()):
+    for label, scopes in sorted(forest.taxa.items()):
         v = model.store.new_var(1, n - 1)
         model.taxa_vars[label] = v
         insides = [(ti, leaf_labels(nd)) for ti, nd in scopes]
@@ -634,7 +636,7 @@ def build_supertree(
     model, and reattaches taxon labels with perfect-display verification.
     """
     t0 = time.perf_counter()
-    has_taxa = bool(_taxon_index(forest.trees))
+    has_taxa = bool(forest.taxa)
     if has_taxa:
         forest = nested_preprocess(forest)
     all_sides = list(sides)

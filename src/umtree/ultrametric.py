@@ -127,11 +127,12 @@ class MrcaMatrix:
     fixed at 1 and one species has none. cell(i, j) and cell(j, i) are
     the same variable by construction.
 
-    `rows[i][k]` is the variable of cell (i, k), and `cell_ids` is the
-    same table as an n x n index array; the diagonal slots hold 0, a
-    placeholder that every reader overwrites. The cell variables are
-    consecutive ids, and `pairs[v - cell_vars[0]]` is the index pair
-    (i, j), i < j, of cell variable v.
+    The cells are one block of consecutive variables, `cell_vars`,
+    numbered row-major over the pairs (i, j), i < j, so
+    `pairs[v - cell_vars[0]]` is the index pair of cell variable v.
+    `cell_ids` is the n x n index array of the cell variables; the
+    diagonal slots hold 0, a placeholder that every reader overwrites.
+    `rows[i][k]` is the same table as lists, for scalar lookups.
     """
 
     __slots__ = ("store", "labels", "n", "index", "cell_vars", "rows", "cell_ids", "pairs")
@@ -145,14 +146,12 @@ class MrcaMatrix:
         self.labels = labels
         self.n = n
         self.index = {lab: i for i, lab in enumerate(labels)}
-        self.cell_vars = [store.new_var(1, n - 1) for _ in range(n * (n - 1) // 2)]
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        rows = [[0] * n for _ in range(n)]
-        for v, (i, j) in zip(self.cell_vars, pairs):
-            rows[i][j] = rows[j][i] = v
-        self.rows = rows
-        self.cell_ids = np.array(rows, dtype=np.intp)
-        self.pairs = np.array(pairs, dtype=np.intp)
+        self.cell_vars = cells = store.new_vars(n * (n - 1) // 2, 1, n - 1)
+        i, j = np.triu_indices(n, 1)
+        self.cell_ids = np.zeros((n, n), dtype=np.intp)
+        self.cell_ids[i, j] = self.cell_ids[j, i] = np.arange(cells.start, cells.stop)
+        self.rows = self.cell_ids.tolist()
+        self.pairs = np.stack((i, j), axis=1)
 
     def cell(self, i: int, j: int) -> int:
         """Variable id of the unordered pair {i, j}, i != j."""

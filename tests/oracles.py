@@ -27,7 +27,7 @@ from umtree import (
     tree_to_matrix,
 )
 from umtree.engine import Propagator
-from umtree.phylo import all_labels
+from umtree.phylo import all_labels, iter_nodes
 from umtree.ultrametric import MrcaMatrix
 
 Box = tuple[int, int]
@@ -276,3 +276,14 @@ def perfectly_displays_by_pairs(t: PhyloTree, t_prime: PhyloTree) -> bool:
             if a != b and (own_p[b] in anc_p[a]) != (own_t[b] in anc_t[a]):
                 return False
     return True
+
+
+def taxon_index(trees: list[PhyloTree]) -> dict[str, list[tuple[int, PhyloTree]]]:
+    """Reference for `Forest.taxa`: a preorder walk of every tree, in tree
+    order, listing each internal node that carries a taxon label."""
+    out: dict[str, list[tuple[int, PhyloTree]]] = {}
+    for ti, t in enumerate(trees):
+        for nd in iter_nodes(t):
+            if not nd.is_leaf and nd.label is not None:
+                out.setdefault(nd.label, []).append((ti, nd))
+    return out

@@ -150,6 +150,15 @@ def test_check_detects_non_display(tmp_path, capsys):
     assert main(["check", sup, missing]) == 1
 
 
+def test_check_needs_exactly_one_supertree(tmp_path, capsys):
+    # the second tree displays the input, but check reads one supertree
+    sup = _write(tmp_path, "s.nwk", "((a,b),c);\n((a,c),b);\n")
+    inp = _write(tmp_path, "i.nwk", "((a,c),b);\n")
+    assert main(["check", sup, inp]) == 2
+    _, err = capsys.readouterr()
+    assert err == f"error: {sup}: expected exactly one supertree, found 2\n"
+
+
 def test_enumerate_limit_and_payload(tmp_path, capsys):
     f1 = _write(tmp_path, "t.nwk", "(a,b,c);\n")
     assert main(["enumerate", f1, "--mode", "soft"]) == 0

@@ -59,6 +59,10 @@ def test_parse_internal_label_and_rank():
 def test_parse_duplicate_leaf_label_rejected():
     with pytest.raises(NewickParseError):
         parse_newick("((a,a),b);")
+    with pytest.raises(NewickParseError) as exc:
+        parse_newick("((a,b),a);")
+    assert exc.value.pos == 7  # the repeated label, not the start of the text
+    assert "duplicate leaf label 'a'" in str(exc.value)
 
 
 def test_parse_branch_lengths_ignored_and_whitespace():

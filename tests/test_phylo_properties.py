@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umtree import (
+    Forest,
     PhyloTree,
     canonical_form,
     displays,
@@ -20,7 +21,7 @@ from umtree import (
     serialize_newick,
 )
 
-from oracles import perfectly_displays_by_pairs
+from oracles import perfectly_displays_by_pairs, taxon_index
 
 _settings = settings(derandomize=True, max_examples=80, deadline=None, database=None)
 
@@ -134,3 +135,14 @@ def test_perfectly_displays_matches_the_pairwise_reference(case, data, mode):
     assert perfectly_displays(tree, t_prime) == want
     # and the other way round, where the leaf sets usually differ
     assert perfectly_displays(t_prime, tree) == perfectly_displays_by_pairs(t_prime, tree)
+
+
+@_settings
+@given(st.lists(labelled_trees(), min_size=1, max_size=4), st.randoms(use_true_random=False))
+def test_forest_reads_species_and_taxa_from_one_walk(drawn, rng):
+    # every tree draws its labels s<k>/T<k> from its own counter, so the
+    # same taxa recur across trees; shuffling puts them out of preorder
+    trees = [_shuffled(t, rng) for t, _, _ in drawn]
+    forest = Forest.from_trees(trees)
+    assert forest.species == tuple(sorted(set().union(*map(leaf_labels, trees))))
+    assert list(forest.taxa.items()) == list(taxon_index(trees).items())

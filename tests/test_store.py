@@ -21,6 +21,17 @@ def test_new_var_rejects_empty_domain():
         Store().new_var(3, 2)
 
 
+def test_new_vars_consecutive_block():
+    s = Store()
+    s.new_var(0, 1)
+    assert s.new_vars(3, 1, 4) == range(1, 4)
+    assert [s.domain(v) for v in range(4)] == [(0, 1)] + [(1, 4)] * 3
+    assert s.new_vars(0, 1, 0) == range(4, 4)  # no variable, so no domain to be empty
+    with pytest.raises(ValueError):
+        s.new_vars(2, 3, 2)
+    assert s.num_vars == 4
+
+
 def test_tighten_lb_examples():
     s = Store()
     v = s.new_var(1, 4)
@@ -128,6 +139,60 @@ def test_events_forgotten_after_restore():
     s.tighten_lb(v, 5)
     s.restore(cp)
     assert s.take_events() == []
+
+
+def test_take_events_hands_out_each_trail_record_once():
+    s = Store()
+    v, w = s.new_var(1, 9), s.new_var(1, 9)
+    s.tighten_lb(v, 2)
+    assert s.take_events() == [(v, Event.MIN, 1)]
+    cp = s.checkpoint()
+    s.tighten_ub(w, 8)
+    s.restore(cp)
+    assert s.take_events() == []  # neither the record taken before cp nor the undone one
+    s.tighten_ub(w, 7)
+    assert s.take_events() == [(w, Event.MAX, 9)]
+    assert s.take_events() == []
+
+
+def test_restore_keeps_records_not_yet_taken():
+    s = Store()
+    v = s.new_var(1, 9)
+    s.tighten_lb(v, 2)
+    cp = s.checkpoint()
+    s.tighten_lb(v, 3)
+    s.restore(cp)
+    assert s.take_events() == [(v, Event.MIN, 1)]
+
+
+def test_restore_after_records_taken_past_checkpoint():
+    s = Store()
+    v = s.new_var(1, 9)
+    cp = s.checkpoint()
+    s.tighten_lb(v, 4)
+    assert s.take_events() == [(v, Event.MIN, 1)]
+    s.restore(cp)
+    s.tighten_ub(v, 6)
+    assert s.take_events() == [(v, Event.MAX, 9)]
+
+
+def test_assign_records_min_then_max():
+    s = Store()
+    v = s.new_var(1, 9)
+    assert s.assign(v, 5) == Event.MIN | Event.MAX
+    assert s.take_events() == [(v, Event.MIN, 1), (v, Event.MAX, 9)]
+
+
+def test_tighten_on_failed_store_adds_no_record():
+    s = Store()
+    v, w = s.new_var(1, 4), s.new_var(1, 4)
+    s.take_events()
+    s.tighten_lb(v, 5)
+    assert s.failed
+    s.tighten_lb(w, 2)
+    s.tighten_ub(w, 3)
+    assert s.take_events() == []
+    assert s.domain(w) == (1, 4)
 
 
 def _random_mutations(s: Store, vars_: list[int], rng: random.Random, steps: int):

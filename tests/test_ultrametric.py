@@ -220,6 +220,23 @@ def test_new_var_after_matrix_propagation():
     assert s.domain(v) == (1, 3)
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_matrix_cells_are_one_row_major_block(n):
+    s = Store()
+    for _ in range(3):
+        s.new_var(0, 9)
+    m = MrcaMatrix(s, [f"s{i}" for i in range(n)])
+    assert list(m.cell_vars) == list(range(3, 3 + n * (n - 1) // 2))
+    assert s.num_vars == 3 + len(m.cell_vars)
+    row_major = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for v, (i, j) in zip(m.cell_vars, row_major, strict=True):
+        assert m.cell(i, j) == m.cell(j, i) == v
+        assert tuple(m.pairs[v - m.cell_vars[0]].tolist()) == (i, j)
+        assert m.index_of(v) == (i, j)
+    assert m.rows == m.cell_ids.tolist()
+    assert all(s.domain(v) == (1, n - 1) for v in m.cell_vars)
+
+
 def test_matrix_initial_domains():
     s, _, m = _matrix_engine(5)
     assert all(s.domain(v) == (1, 4) for v in m.cell_vars)
@@ -462,7 +479,7 @@ def test_batch_wake_equals_merged_single_cell_wakes():
                 else:
                     s.tighten_ub(x, rng.randint(lo, hi - 1))
         changed = {}
-        for x, ev in s.take_events():
+        for x, ev, _ in s.take_events():
             changed[x] = changed.get(x, 0) | ev
         if not changed:
             continue
