@@ -1,11 +1,15 @@
 """Event-driven propagation to fixpoint.
 
 Propagators subscribe to variables; bound mutations raise domain events
-which the engine coalesces per propagator and dispatches FIFO until no
+which the engine coalesces per propagator and dispatches until no
 propagator can narrow any domain (fixpoint) or the store fails. A
 dequeued propagator is woken once with every variable that changed since
 its last wake. Events generated during a wake wait on the store's trail
 and are routed after the wake returns, so a propagator can re-wake itself.
+The queue has two levels: a propagator of the deferred level (the costly
+matrix propagator) is woken only once the first level is empty, so the
+cheap relations reach their own fixpoint first and a matrix wake sees
+every cell they moved at once.
 """
 
 from __future__ import annotations
@@ -46,35 +50,57 @@ class Propagator:
     nothing and may only narrow domains. `changed` maps every watched
     variable that changed since the last wake to its coalesced event
     mask, and `events` is the union of those masks. The key None stands
-    for the initial wake right after registration, with event kinds
-    MIN | MAX so a full filter runs. The propagator is queued exactly
-    while that map, `_pending`, is non-empty.
+    for work scheduled without an event: the initial wake right after
+    registration, or rows posted to a relation table, with event kinds
+    MIN | MAX. Called with `changed=None` instead of a map, a wake runs a
+    full filter over everything it constrains. The propagator is queued
+    exactly while its pending map, `_pending`, is non-empty.
+
+    `LEVEL` picks the queue level: 0 for cheap propagators, 1 for one
+    that is woken only once no level-0 propagator is queued.
+
+    A propagator that takes rows after registration reports their number
+    through `size()`, and `truncate(size)` drops the rows posted since;
+    the engine calls both around a checkpoint.
     """
 
     __slots__ = ("watched", "wake_count", "_pending")
+
+    LEVEL = 0
 
     def __init__(self, watched: Sequence[int]):
         self.watched = tuple(watched)
         self.wake_count = 0
         self._pending: dict[Optional[int], int] = {}
 
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
+    def wake(self, store: Store, changed: Optional[dict[Optional[int], int]], events: int) -> None:
         raise NotImplementedError
+
+    def size(self) -> int:
+        return 0
+
+    def truncate(self, size: int) -> None:
+        pass
 
 
 @dataclass(frozen=True)
 class EngineCheckpoint:
     store_cp: Checkpoint
     n_propagators: int
+    n_watches: int
+    sizes: tuple[int, ...]
 
 
 class Engine:
     """One scheduler per store. Not shared across threads.
 
     Each dequeue is one wake (and one count in `RunStats.wakes`), however
-    many variables changed. `rng`, when given, dequeues in random order
-    instead of FIFO; the fixpoint is the same for monotone propagators
-    (used to test confluence), so ordering is a performance choice only.
+    many variables changed. A propagator is queued on the level its
+    class names (`Propagator.LEVEL`), FIFO within a level, and level 1
+    only runs while level 0 is empty. `rng`, when given, dequeues
+    uniformly at random across both levels instead; the fixpoint is the
+    same for monotone propagators (used to test confluence), so ordering
+    is a performance choice only.
     """
 
     def __init__(self, store: Store, rng=None) -> None:
@@ -82,10 +108,27 @@ class Engine:
         self.propagators: list[Propagator] = []
         self.stats = RunStats()
         self._subs: list[list[Propagator]] = []
-        self._queue: deque[Propagator] = deque()
+        self._watch_log: list[int] = []  # subscribed variables, in order
+        self._queues: tuple[deque[Propagator], deque[Propagator]] = (deque(), deque())
         self._rng = rng
 
     # -- registration ---------------------------------------------------
+
+    def watch(self, p: Propagator, vs: Sequence[int]) -> None:
+        """Subscribe p to the events of the variables vs (undone by restore)."""
+        subs = self._subs
+        missing = self.store.num_vars - len(subs)
+        if missing:
+            subs.extend([[] for _ in range(missing)])
+        for v in vs:
+            subs[v].append(p)
+        self._watch_log.extend(vs)
+
+    def schedule(self, p: Propagator) -> None:
+        """Queue p for a wake with the event-less key None."""
+        if not p._pending:
+            self._queues[p.LEVEL].append(p)
+        p._pending[None] = _INITIAL_EVENTS
 
     def register(self, p: Propagator) -> None:
         """Subscribe p to its watched variables and schedule it once.
@@ -94,13 +137,9 @@ class Engine:
         """
         if self.store.failed:
             return
-        subs = self._subs
-        subs.extend([] for _ in range(self.store.num_vars - len(subs)))
         self.propagators.append(p)
-        for v in p.watched:
-            subs[v].append(p)
-        p._pending[None] = _INITIAL_EVENTS
-        self._queue.append(p)
+        self.watch(p, p.watched)
+        self.schedule(p)
         if len(self.propagators) > self.stats.peak_propagators:
             self.stats.peak_propagators = len(self.propagators)
         if self.store.num_vars > self.stats.peak_vars:
@@ -111,26 +150,32 @@ class Engine:
     def _route_events(self) -> None:
         subs = self._subs
         nsubs = len(subs)
-        queue = self._queue
+        queues = self._queues
         for var, ev, _ in self.store.take_events():
             if var >= nsubs:
                 continue
             for q in subs[var]:
                 pend = q._pending
                 if not pend:
-                    queue.append(q)
+                    queues[q.LEVEL].append(q)
                 pend[var] = pend.get(var, 0) | ev
 
     def _pop(self) -> Propagator:
-        queue = self._queue
-        if self._rng is not None and len(queue) > 1:
-            queue.rotate(-self._rng.randrange(len(queue)))
+        first, later = self._queues
+        if self._rng is None:
+            return (first or later).popleft()
+        k = self._rng.randrange(len(first) + len(later))
+        queue = first
+        if k >= len(first):
+            queue, k = later, k - len(first)
+        queue.rotate(-k)
         return queue.popleft()
 
     def propagate(self) -> PropagateResult:
         """Run all pending propagation to fixpoint or failure."""
         store = self.store
         stats = self.stats
+        first, later = self._queues
         if store.num_vars > stats.peak_vars:
             stats.peak_vars = store.num_vars
         while True:
@@ -138,7 +183,7 @@ class Engine:
             if store.failed:
                 stats.failures += 1
                 return PropagateResult.FAILURE
-            if not self._queue:
+            if not (first or later):
                 return PropagateResult.FIXPOINT
             p = self._pop()
             changed = p._pending
@@ -151,22 +196,27 @@ class Engine:
 
     def checkpoint(self) -> EngineCheckpoint:
         """Snapshot store + scheduler state. Only valid at a fixpoint."""
-        if self._queue:
+        if any(self._queues):
             raise RuntimeError("checkpoint requires an empty propagation queue")
         return EngineCheckpoint(
             store_cp=self.store.checkpoint(),
             n_propagators=len(self.propagators),
+            n_watches=len(self._watch_log),
+            sizes=tuple(p.size() for p in self.propagators),
         )
 
     def restore(self, cp: EngineCheckpoint) -> None:
-        """Undo domains and registrations back to checkpoint."""
-        for q in self._queue:
-            q._pending.clear()
-        self._queue.clear()
-        # registrations appended after the checkpoint sit at list tails
-        for p in reversed(self.propagators[cp.n_propagators:]):
-            for v in reversed(p.watched):
-                popped = self._subs[v].pop()
-                assert popped is p
+        """Undo domains, registrations, subscriptions and rows back to cp."""
+        for queue in self._queues:
+            for q in queue:
+                q._pending.clear()
+            queue.clear()
+        log, subs = self._watch_log, self._subs
+        # subscriptions made since cp sit at the tails of their lists
+        for v in reversed(log[cp.n_watches:]):
+            subs[v].pop()
+        del log[cp.n_watches:]
         del self.propagators[cp.n_propagators:]
+        for p, size in zip(self.propagators, cp.sizes):
+            p.truncate(size)
         self.store.restore(cp.store_cp)

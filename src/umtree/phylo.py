@@ -404,16 +404,30 @@ def tree_to_matrix(tree: PhyloTree) -> UltrametricIntMatrix:
     return UltrametricIntMatrix(labels, np.array(rows, dtype=int))
 
 
-def _find_violating_triple(values: np.ndarray) -> tuple[int, int, int]:
-    n = values.shape[0]
+def _no_tie(a: int, b: int, c: int) -> bool:
+    lo = min(a, b, c)
+    return (a == lo) + (b == lo) + (c == lo) < 2
+
+
+def _find_violating_triple(rows: list[list[int]]) -> tuple[int, int, int]:
+    n = len(rows)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                a, b, c = values[i, j], values[i, k], values[j, k]
-                lo = min(a, b, c)
-                if (a == lo) + (b == lo) + (c == lo) < 2:
+                if _no_tie(rows[i][j], rows[i][k], rows[j][k]):
                     return (i, j, k)
     raise AssertionError("no violating triple found")
+
+
+def _violating_triple(rows: list[list[int]], i: int, j: int) -> tuple[int, int, int]:
+    """A triple without a tie for the minimum through the leaf pair (i, j),
+    found by one scan over the third leaf; when the pair lies in no such
+    triple, the first violating triple of the whole matrix."""
+    ri, rj, v = rows[i], rows[j], rows[i][j]
+    for k in range(len(rows)):
+        if k != i and k != j and _no_tie(v, ri[k], rj[k]):
+            return tuple(sorted((i, j, k)))
+    return _find_violating_triple(rows)
 
 
 def _clade_order(rows: list[list[int]]) -> list[int]:
@@ -447,8 +461,11 @@ def _clade_order(rows: list[list[int]]) -> list[int]:
     return order
 
 
-def _cross_pairs_equal(m: list[tuple[int, ...]], d: int, starts: list[int], end: int) -> bool:
-    """Whether every pair of leaves in different child runs reads d.
+def _cross_pair_mismatch(
+    m: list[tuple[int, ...]], d: int, starts: list[int], end: int
+) -> tuple[int, int] | None:
+    """Positions of a pair of leaves in different child runs that does
+    not read d, or None when every such pair reads d.
 
     Child k covers positions starts[k] up to the next start (or end) of
     the leaf order. Each child is compared with all later ones from
@@ -457,13 +474,15 @@ def _cross_pairs_equal(m: list[tuple[int, ...]], d: int, starts: list[int], end:
     for lo, hi in zip(starts, starts[1:]):
         if hi - lo <= end - hi:
             for a in range(lo, hi):
-                if m[a][hi:end].count(d) != end - hi:
-                    return False
+                row = m[a][hi:end]
+                if row.count(d) != end - hi:
+                    return a, hi + next(k for k, x in enumerate(row) if x != d)
         else:
             for b in range(hi, end):
-                if m[b][lo:hi].count(d) != hi - lo:
-                    return False
-    return True
+                col = m[b][lo:hi]
+                if col.count(d) != hi - lo:
+                    return lo + next(k for k, x in enumerate(col) if x != d), b
+    return None
 
 
 def matrix_to_tree(matrix: UltrametricIntMatrix) -> PhyloTree:
@@ -499,8 +518,9 @@ def matrix_to_tree(matrix: UltrametricIntMatrix) -> PhyloTree:
             d, kids, starts = stack.pop()
             kids.append(last)
             starts.append(last_start)
-            if not _cross_pairs_equal(m, d, starts, t):
-                raise NotUltrametricError(_find_violating_triple(matrix.values))
+            bad = _cross_pair_mismatch(m, d, starts, t)
+            if bad is not None:
+                raise NotUltrametricError(_violating_triple(rows, order[bad[0]], order[bad[1]]))
             last, last_start = PhyloTree(children=tuple(kids)), starts[0]
         if t < n:
             if stack and stack[-1][0] == h:

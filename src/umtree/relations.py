@@ -1,12 +1,24 @@
-"""Primitive bounds-consistency propagators: <, <=, and 2/3-way equality.
+"""Relation tables: bounds-consistent <, <= and 2/3-way equality.
 
 Triples and fans decompose onto these: a triple (xy)z becomes one strict
 inequality plus one binary equality over matrix cells, a fan becomes a
 ternary equality. Every relation here is min-closed (the pointwise
 minimum of two satisfying tuples satisfies it), which is what lets the
-supertree model read a solution straight off the lower bounds. Each wake
-filters from the current bounds of all its variables, so it ignores
-which of them changed.
+supertree model read a solution straight off the lower bounds.
+
+An engine holds at most one table per relation kind, a single
+propagator that keeps every atom of that kind as a row: `Less` and
+`LessEq` rows (a, b) read b >= a + d with d = 1 and d = 0, and `Equal`
+rows are groups of 2 or 3 variables that must be equal. A table indexes
+each row under the variables whose bound moves can make it narrow:
+`after_min[v]` lists the rows whose lower-bound rule reads lb(v) and
+`after_max[v]` those whose upper-bound rule reads ub(v). A wake applies
+the rows posted since the last wake in full, then, for each changed
+variable, only the rows indexed under the bound that moved. Posting a
+row subscribes the table to its variables that are new to it, and
+restoring an engine checkpoint drops the rows posted since. The three
+kinds stay three classes, each with its own `wake`, because
+`perfbench/tracing.py` times the wakes of each class by name.
 """
 
 from __future__ import annotations
@@ -14,81 +26,199 @@ from __future__ import annotations
 from typing import Optional
 
 from .engine import Engine, Propagator
-from .store import Store
+from .store import Event, Store
 from .phylo import Fan, Triple
 from .ultrametric import MrcaMatrix
 
+_MIN = Event.MIN
+_MAX = Event.MAX
 
-class Less(Propagator):
-    """a < b."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        super().__init__((a, b))
-        self.a, self.b = a, b
-
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
-        a, b = self.a, self.b
-        store.tighten_lb(b, store.lbs[a] + 1)
-        store.tighten_ub(a, store.ubs[b] - 1)
+Row = tuple[int, ...]
 
 
-class LessEq(Propagator):
-    """a <= b."""
+class _Table(Propagator):
+    """The rows of one relation kind on one engine.
 
-    __slots__ = ("a", "b")
+    `MIN_KEYS` and `MAX_KEYS` slice a row to the variables it is indexed
+    under in `after_min` and `after_max`. Both maps hold a (possibly
+    empty) list for every variable the table watches.
+    """
 
-    def __init__(self, a: int, b: int):
-        super().__init__((a, b))
-        self.a, self.b = a, b
+    __slots__ = ("rows", "after_min", "after_max", "_applied")
 
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
-        a, b = self.a, self.b
-        store.tighten_lb(b, store.lbs[a])
-        store.tighten_ub(a, store.ubs[b])
+    MIN_KEYS = MAX_KEYS = slice(None)
+
+    def __init__(self):
+        super().__init__(())
+        self.rows: list[Row] = []
+        self.after_min: dict[int, list[Row]] = {}
+        self.after_max: dict[int, list[Row]] = {}
+        self._applied = 0  # rows[:_applied] have had their full wake
+
+    @classmethod
+    def of(cls, engine: Engine):
+        """The engine's table of this kind, registered on first use."""
+        for p in engine.propagators:
+            if type(p) is cls:
+                return p
+        table = cls()
+        engine.register(table)
+        return table
+
+    def post(self, engine: Engine, row: Row):
+        """Add a row and schedule its full wake. No-op on a failed store."""
+        if engine.store.failed:
+            return self
+        after_min, after_max = self.after_min, self.after_max
+        new = []
+        for v in row:
+            if v not in after_min:
+                after_min[v], after_max[v] = [], []
+                new.append(v)
+        if new:
+            engine.watch(self, new)
+        for v in row[self.MIN_KEYS]:
+            after_min[v].append(row)
+        for v in row[self.MAX_KEYS]:
+            after_max[v].append(row)
+        self.rows.append(row)
+        engine.schedule(self)
+        return self
+
+    def _fresh_rows(self, changed: Optional[dict]) -> list[Row]:
+        """The rows a wake applies in full: all of them for changed=None,
+        else those posted since the last wake."""
+        rows = self.rows
+        fresh = rows if changed is None else rows[self._applied:]
+        self._applied = len(rows)
+        return fresh
+
+    def size(self) -> int:
+        return len(self.rows)
+
+    def truncate(self, size: int) -> None:
+        rows, after_min, after_max = self.rows, self.after_min, self.after_max
+        dropped = rows[size:]
+        del rows[size:]
+        self._applied = min(self._applied, size)
+        for row in reversed(dropped):  # each row sits at the tail of its lists
+            for v in row[self.MIN_KEYS]:
+                after_min[v].pop()
+            for v in row[self.MAX_KEYS]:
+                after_max[v].pop()
+        for row in dropped:  # variables first seen in a dropped row
+            for v in row:
+                if v in after_min and not (after_min[v] or after_max[v]):
+                    del after_min[v], after_max[v]
 
 
-class Equal(Propagator):
-    """All listed variables equal (used with 2 or 3 variables)."""
+class _Order(_Table):
+    """Rows (a, b) with b >= a + OFFSET: lb(a) pushes lb(b) up, and ub(b)
+    pushes ub(a) down."""
 
-    __slots__ = ("vars",)
+    __slots__ = ()
 
-    def __init__(self, *vars_: int):
-        super().__init__(vars_)
-        self.vars = vars_
+    MIN_KEYS, MAX_KEYS = slice(0, 1), slice(1, 2)
+    OFFSET = 0
 
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
-        vs = self.vars
-        lo = max(map(store.lbs.__getitem__, vs))
-        hi = min(map(store.ubs.__getitem__, vs))
-        for v in vs:
-            store.tighten_lb(v, lo)
-            store.tighten_ub(v, hi)
+    def _apply(self, store: Store, changed: Optional[dict[Optional[int], int]]) -> None:
+        d = self.OFFSET
+        lbs, ubs = store.lbs, store.ubs
+        tighten_lb, tighten_ub = store.tighten_lb, store.tighten_ub
+        for a, b in self._fresh_rows(changed):
+            if lbs[b] < lbs[a] + d:
+                tighten_lb(b, lbs[a] + d)
+            if ubs[a] > ubs[b] - d:
+                tighten_ub(a, ubs[b] - d)
+        if changed is None:
+            return
+        after_min, after_max = self.after_min, self.after_max
+        for v, ev in changed.items():
+            if v is None:
+                continue
+            if ev & _MIN:
+                lo = lbs[v] + d
+                for _, b in after_min[v]:
+                    if lbs[b] < lo:
+                        tighten_lb(b, lo)
+            if ev & _MAX:
+                hi = ubs[v] - d
+                for a, _ in after_max[v]:
+                    if ubs[a] > hi:
+                        tighten_ub(a, hi)
+
+
+class Less(_Order):
+    """Rows (a, b): a < b."""
+
+    __slots__ = ()
+
+    OFFSET = 1
+
+    def wake(self, store: Store, changed: Optional[dict[Optional[int], int]], events: int) -> None:
+        self._apply(store, changed)
+
+
+class LessEq(_Order):
+    """Rows (a, b): a <= b."""
+
+    __slots__ = ()
+
+    def wake(self, store: Store, changed: Optional[dict[Optional[int], int]], events: int) -> None:
+        self._apply(store, changed)
+
+
+class Equal(_Table):
+    """Rows are groups of 2 or 3 variables that must be equal, indexed
+    under every member in both maps."""
+
+    __slots__ = ()
+
+    def wake(self, store: Store, changed: Optional[dict[Optional[int], int]], events: int) -> None:
+        lbs, ubs = store.lbs, store.ubs
+        tighten_lb, tighten_ub = store.tighten_lb, store.tighten_ub
+        for group in self._fresh_rows(changed):
+            lo = max(map(lbs.__getitem__, group))
+            hi = min(map(ubs.__getitem__, group))
+            for u in group:
+                if lbs[u] < lo:
+                    tighten_lb(u, lo)
+                if ubs[u] > hi:
+                    tighten_ub(u, hi)
+        if changed is None:
+            return
+        after_min, after_max = self.after_min, self.after_max
+        for v, ev in changed.items():
+            if v is None:
+                continue
+            if ev & _MIN:
+                lo = lbs[v]
+                for group in after_min[v]:
+                    for u in group:
+                        if lbs[u] < lo:
+                            tighten_lb(u, lo)
+            if ev & _MAX:
+                hi = ubs[v]
+                for group in after_max[v]:
+                    for u in group:
+                        if ubs[u] > hi:
+                            tighten_ub(u, hi)
 
 
 def post_lt(engine: Engine, a: int, b: int) -> Less:
-    p = Less(a, b)
-    engine.register(p)
-    return p
+    return Less.of(engine).post(engine, (a, b))
 
 
 def post_le(engine: Engine, a: int, b: int) -> LessEq:
-    p = LessEq(a, b)
-    engine.register(p)
-    return p
+    return LessEq.of(engine).post(engine, (a, b))
 
 
 def post_eq2(engine: Engine, a: int, b: int) -> Equal:
-    p = Equal(a, b)
-    engine.register(p)
-    return p
+    return Equal.of(engine).post(engine, (a, b))
 
 
 def post_eq3(engine: Engine, a: int, b: int, c: int) -> Equal:
-    p = Equal(a, b, c)
-    engine.register(p)
-    return p
+    return Equal.of(engine).post(engine, (a, b, c))
 
 
 def post_triple(engine: Engine, matrix: MrcaMatrix, t: Triple) -> None:

@@ -242,13 +242,17 @@ class UltrametricMatrix(Propagator):
 
     __slots__ = ("matrix",)
 
+    LEVEL = 1  # woken once the relations are at their fixpoint
+
     def __init__(self, matrix: MrcaMatrix):
         super().__init__(matrix.cell_vars)
         self.matrix = matrix
 
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
+    def wake(self, store: Store, changed: Optional[dict[Optional[int], int]], events: int) -> None:
         mat = self.matrix
         n = mat.n
+        if changed is None:
+            changed = dict.fromkeys(mat.cell_vars, Event.MIN | Event.MAX)
         cells = [v for v in changed if v is not None]
         # views into the store's arrays; they must not outlive this call
         lbs = np.frombuffer(store.lbs, dtype=np.int64)

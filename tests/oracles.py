@@ -2,7 +2,9 @@
 
 Everything here recomputes expected values from first principles
 (enumeration over tuples or over all rooted trees), deliberately not
-reusing the propagation code paths it checks.
+reusing the propagation code paths it checks. It also keeps the
+implementations that faster code replaced, as references, and two
+helpers that build test forests.
 """
 
 from __future__ import annotations
@@ -159,6 +161,99 @@ class RowWakeMatrix(Propagator):
                         store.tighten_ub(ids_u[k], A)
                     if lu[k] > A:
                         store.tighten_ub(ids_w[k], A)
+
+
+# -- reference relations ---------------------------------------------------------
+
+
+class ScalarLess(Propagator):
+    """a < b as one propagator per atom; every wake filters both bounds.
+
+    `ScalarLess`, `ScalarLessEq` and `ScalarEqual` are the per-atom
+    relations the relation tables replaced. Posting a model through them
+    (`post_scalar_atom`, `post_scalar_lt`, `post_scalar_le`) must reach the
+    fixpoint the tables reach.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        super().__init__((a, b))
+        self.a, self.b = a, b
+
+    def wake(self, store, changed, events):
+        a, b = self.a, self.b
+        store.tighten_lb(b, store.lbs[a] + 1)
+        store.tighten_ub(a, store.ubs[b] - 1)
+
+
+class ScalarLessEq(Propagator):
+    """a <= b as one propagator per atom."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        super().__init__((a, b))
+        self.a, self.b = a, b
+
+    def wake(self, store, changed, events):
+        a, b = self.a, self.b
+        store.tighten_lb(b, store.lbs[a])
+        store.tighten_ub(a, store.ubs[b])
+
+
+class ScalarEqual(Propagator):
+    """All listed variables equal, as one propagator per atom."""
+
+    __slots__ = ("vars",)
+
+    def __init__(self, *vars_):
+        super().__init__(vars_)
+        self.vars = vars_
+
+    def wake(self, store, changed, events):
+        vs = self.vars
+        lo = max(map(store.lbs.__getitem__, vs))
+        hi = min(map(store.ubs.__getitem__, vs))
+        for v in vs:
+            store.tighten_lb(v, lo)
+            store.tighten_ub(v, hi)
+
+
+def post_scalar_lt(engine, a, b):
+    engine.register(ScalarLess(a, b))
+
+
+def post_scalar_le(engine, a, b):
+    engine.register(ScalarLessEq(a, b))
+
+
+def post_scalar_atom(engine, matrix, atom):
+    """A triple (xy)z as cell(x,z) < cell(x,y) and cell(x,z) = cell(y,z);
+    a fan as its three cells equal."""
+    cell = matrix.cell_by_label
+    if isinstance(atom, Triple):
+        engine.register(ScalarLess(cell(atom.x, atom.z), cell(atom.x, atom.y)))
+        engine.register(ScalarEqual(cell(atom.x, atom.z), cell(atom.y, atom.z)))
+    else:
+        engine.register(ScalarEqual(cell(atom.x, atom.y), cell(atom.x, atom.z), cell(atom.y, atom.z)))
+
+
+# -- test forest helpers -------------------------------------------------------------
+
+
+def ranked_by_depth(tree, depth=1):
+    """The tree with every internal node ranked by its depth (root 1)."""
+    if tree.is_leaf:
+        return tree
+    return PhyloTree(tuple(ranked_by_depth(c, depth + 1) for c in tree.children), tree.label, depth)
+
+
+def swap_leaves(tree, a, b):
+    """The tree with leaves a and b exchanged."""
+    if tree.is_leaf:
+        return PhyloTree(label={a: b, b: a}.get(tree.label, tree.label))
+    return PhyloTree(tuple(swap_leaves(c, a, b) for c in tree.children), tree.label, tree.rank)
 
 
 # -- tree-side oracles ---------------------------------------------------------

@@ -312,8 +312,11 @@ def test_criterion_12_space_is_quadratic_with_one_matrix_propagator():
             assert stats.peak_vars == n * (n - 1) // 2
             triples = sum(isinstance(a, Triple) for a in model.atoms)
             fans = len(model.atoms) - triples
-            assert stats.peak_propagators == 1 + 2 * triples + fans
-            assert stats.peak_propagators <= 1 + 3 * len(model.atoms)
+            # one table per relation kind: a triple is a Less row and an Equal
+            # row, a fan an Equal row
+            assert stats.peak_propagators <= 4
+            rows = {type(p).__name__: p.size() for p in model.engine.propagators}
+            assert rows == {"UltrametricMatrix": 0, "Less": triples, "Equal": triples + fans}
             matrix_props = [
                 p for p in model.engine.propagators if isinstance(p, UltrametricMatrix)
             ]

@@ -205,3 +205,58 @@ def test_engine_restore_unregisters():
     post_lt(e, b, a)
     post_lt(e, a, b)
     assert e.propagate() is PropagateResult.FAILURE
+
+
+class _Late(Propagator):
+    """A deferred propagator that records how many level-0 propagators
+    were queued at each of its wakes."""
+
+    LEVEL = 1
+
+    def __init__(self, engine, v):
+        super().__init__((v,))
+        self.engine, self.seen = engine, []
+
+    def wake(self, store, changed, events):
+        self.seen.append(len(self.engine._queues[0]))
+
+
+def _late_chain(rng=None):
+    s = Store()
+    e = Engine(s, rng=rng)
+    x, y, z = s.new_var(1, 9), s.new_var(1, 9), s.new_var(1, 9)
+    late = _Late(e, z)
+    e.register(late)  # queued first, but on the deferred level
+    post_lt(e, x, y)
+    post_lt(e, y, z)
+    assert e.propagate() is PropagateResult.FIXPOINT
+    assert s.domain(z) == (3, 9)
+    return late
+
+
+def test_deferred_level_waits_for_the_first_level():
+    # FIFO alone would wake it before the relations and again after z moved
+    assert _late_chain().seen == [0]
+
+
+def test_random_order_draws_from_both_levels():
+    seen = [_late_chain(random.Random(seed)).seen for seed in range(20)]
+    assert any(s[0] > 0 for s in seen)
+
+
+def test_matrix_wakes_once_the_relations_are_at_their_fixpoint(monkeypatch):
+    from umtree import Forest, build_model, random_forest
+    from umtree.ultrametric import UltrametricMatrix
+
+    queued = []
+    wake = UltrametricMatrix.wake
+
+    def recording_wake(self, store, changed, events):
+        queued.append(len(engine._queues[0]))
+        return wake(self, store, changed, events)
+
+    monkeypatch.setattr(UltrametricMatrix, "wake", recording_wake)
+    model = build_model(Forest.from_trees(random_forest(30, 3, 0.25, random.Random(3))), "hard")
+    engine = model.engine
+    assert engine.propagate() is PropagateResult.FIXPOINT
+    assert len(queued) > 1 and not any(queued)

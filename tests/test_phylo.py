@@ -174,6 +174,70 @@ def test_round_trip_random(seed):
     assert isomorphic(matrix_to_tree(tree_to_matrix(t)), t)
 
 
+def _no_tie(values, triple):
+    a, b, c = (values[i][j] for i, j in itertools.combinations(triple, 2))
+    lo = min(a, b, c)
+    return [a, b, c].count(lo) < 2
+
+
+def _first_violating_triple(values):
+    n = len(values)
+    return next(t for t in itertools.combinations(range(n), 3) if _no_tie(values, t))
+
+
+def _readoff_error(values, monkeypatch):
+    """The read-off's violating triple, and whether it needed the full scan."""
+    from umtree import phylo
+
+    full_scans = []
+    scan = phylo._find_violating_triple
+    monkeypatch.setattr(phylo, "_find_violating_triple", lambda rows: full_scans.append(1) or scan(rows))
+    labels = tuple(f"s{i}" for i in range(len(values)))
+    with pytest.raises(NotUltrametricError) as exc:
+        matrix_to_tree(UltrametricIntMatrix(labels, np.array(values)))
+    monkeypatch.undo()
+    return exc.value.triple, bool(full_scans)
+
+
+def test_violating_triple_comes_from_the_failing_pair(monkeypatch):
+    # perturbed tree matrices: one scan over the third leaf of the pair
+    # the read-off rejected finds a violating triple, with no full scan
+    rng = random.Random(5)
+    found = 0
+    while found < 300:
+        n = rng.randint(3, 12)
+        values = tree_to_matrix(random_tree([f"s{i}" for i in range(n)], rng)).values.tolist()
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(n), 2)
+            values[i][j] = values[j][i] = rng.randint(1, n)
+        try:
+            matrix_to_tree(UltrametricIntMatrix(tuple(f"s{i}" for i in range(n)), np.array(values)))
+            continue
+        except NotUltrametricError:
+            pass
+        triple, full_scan = _readoff_error(values, monkeypatch)
+        if full_scan:
+            continue
+        found += 1
+        assert list(triple) == sorted(set(triple)) and _no_tie(values, triple)
+
+
+def test_violating_triple_falls_back_to_the_full_scan(monkeypatch):
+    # the rejected pair lies in no violating triple here: the full scan
+    # reports the first violating triple of the matrix
+    values = [
+        [0, 3, 2, 3, 4, 3, 3],
+        [3, 0, 2, 2, 1, 3, 3],
+        [2, 2, 0, 2, 1, 2, 2],
+        [3, 2, 2, 0, 3, 2, 2],
+        [4, 1, 1, 3, 0, 1, 1],
+        [3, 3, 2, 2, 1, 0, 3],
+        [3, 3, 2, 2, 1, 3, 0],
+    ]
+    triple, full_scan = _readoff_error(values, monkeypatch)
+    assert full_scan and triple == _first_violating_triple(values) == (0, 1, 3)
+
+
 def _caterpillar(n, labels=None):
     """((..((s0000,s0001),s0002)..),s<n-1>), built from nodes; labels maps
     an internal node's leaf count to its taxon label."""

@@ -1,20 +1,37 @@
 import itertools
+import random
 
 import pytest
 
 from umtree import (
+    DateBounds,
     Engine,
+    Forest,
+    PhyloTree,
+    Predates,
     PropagateResult,
+    RankAssign,
     Store,
+    build_model,
+    hard_breakup,
+    post_atom,
     post_eq2,
     post_eq3,
     post_le,
     post_lt,
     post_triple,
     post_fan,
+    random_tree,
+    restrict_and_suppress,
+    species_labels,
+    tree_to_matrix,
 )
-from umtree.phylo import Fan, Triple
+from umtree import supertree
+from umtree.phylo import Fan, Triple, leaf_labels
+from umtree.supertree import apply_nested_taxa
 from umtree.ultrametric import MrcaMatrix, post_um_matrix
+
+from oracles import post_scalar_atom, post_scalar_le, post_scalar_lt, ranked_by_depth, swap_leaves
 
 
 def _run(post, *boxes):
@@ -125,3 +142,214 @@ def test_lt_self_loop_fails_by_propagation():
     v = s.new_var(1, 6)
     post_lt(e, v, v)
     assert e.propagate() is PropagateResult.FAILURE
+
+
+def test_one_table_per_kind_holds_every_row():
+    s = Store()
+    e = Engine(s)
+    a, b, c = s.new_var(1, 9), s.new_var(1, 9), s.new_var(1, 9)
+    lt = post_lt(e, a, b)
+    assert post_lt(e, b, c) is lt and post_le(e, a, c) is not lt
+    assert post_eq2(e, a, b) is post_eq3(e, a, b, c)
+    assert [type(p).__name__ for p in e.propagators] == ["Less", "LessEq", "Equal"]
+    assert [p.size() for p in e.propagators] == [2, 1, 2]
+    assert lt.after_min == {a: [(a, b)], b: [(b, c)], c: []}
+    assert lt.after_max == {a: [], b: [(a, b)], c: [(b, c)]}
+    # each table watches a variable once: a in all three, b in Less and Equal
+    assert [len(subs) for subs in e._subs] == [3, 2, 3]
+
+
+def test_full_filter_applies_every_row():
+    s = Store()
+    e = Engine(s)
+    a, b = s.new_var(1, 9), s.new_var(1, 9)
+    lt = post_lt(e, a, b)
+    assert e.propagate() is PropagateResult.FIXPOINT
+    s.tighten_lb(a, 5)
+    s.take_events()  # the table is not told: only a full filter sees the move
+    lt.wake(s, None, 0)
+    assert s.domain(b) == (6, 9)
+
+
+# -- tables against the per-atom reference relations --------------------------------
+
+
+def _with_taxa(tree, rng, names, root=True):
+    """About a third of the non-root internal nodes take the next taxon
+    name from `names`."""
+    if tree.is_leaf:
+        return tree
+    kids = tuple(_with_taxa(c, rng, names, False) for c in tree.children)
+    label = next(names, None) if not root and rng.random() < 0.35 else None
+    return PhyloTree(kids, label=label, rank=tree.rank)
+
+
+def _model_instance(seed):
+    """A forest, mode and side constraints over n = 8..30 species.
+
+    The trees restrict one ranked master tree; every third instance swaps
+    two leaves of the first tree, every second puts nested taxa on the
+    master, and modes alternate in pairs. The sides are a rank assignment
+    of a restriction, Predates and DateBounds that agree with the master,
+    and in every fourth instance one DateBounds that contradicts it.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(8, 30)
+    labels = species_labels(n)
+    master = ranked_by_depth(random_tree(labels, rng))
+    if seed % 2:
+        master = _with_taxa(master, rng, (f"T{k}" for k in range(6)))
+    depth = tree_to_matrix(master)
+    trees = [restrict_and_suppress(master, rng.sample(labels, rng.randint(4, n))) for _ in range(3)]
+    if seed % 3 == 0:
+        trees[0] = swap_leaves(trees[0], *rng.sample(sorted(leaf_labels(trees[0])), 2))
+    forest = Forest.from_trees(trees)
+    species = forest.species
+    sides = [RankAssign(restrict_and_suppress(master, rng.sample(species, min(5, len(species)))))]
+    for _ in range(3):
+        a, b, c, d = rng.sample(species, 4)
+        if depth.value(a, b) < depth.value(c, d):
+            sides.append(Predates(a, b, c, d))
+        a, b = rng.sample(species, 2)
+        v = depth.value(a, b)
+        sides.append(DateBounds(a, b, max(1, v - rng.randint(0, 2)), min(n - 1, v + rng.randint(0, 3))))
+    if seed % 4 == 0:
+        a, b = rng.sample(species, 2)
+        v = depth.value(a, b)
+        sides.append(DateBounds(a, b, v + 1, n - 1) if v < n - 1 else DateBounds(a, b, 1, v - 1))
+    return forest, ("hard", "soft")[seed // 2 % 2], sides
+
+
+def _posted_model(monkeypatch, forest, mode, sides, queue_rng, scalar):
+    """build_model plus the nested-taxa rows, with the engine dequeuing
+    in queue_rng's order; `scalar` posts through the per-atom relations."""
+    with monkeypatch.context() as mp:
+        mp.setattr(supertree, "Engine", lambda store: Engine(store, rng=queue_rng))
+        if scalar:
+            mp.setattr(supertree, "post_atom", post_scalar_atom)
+            mp.setattr(supertree, "post_lt", post_scalar_lt)
+            mp.setattr(supertree, "post_le", post_scalar_le)
+        model = build_model(forest, mode, sides)
+        apply_nested_taxa(model, forest)
+    return model
+
+
+def _outcome(model):
+    if model.engine.propagate() is PropagateResult.FAILURE:
+        return None
+    return bytes(model.store.lbs), bytes(model.store.ubs)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_tables_reach_the_per_atom_fixpoint(monkeypatch, seed):
+    # byte-equal bounds or the same failure, FIFO and two random orders
+    forest, mode, sides = _model_instance(seed)
+    reference = _posted_model(monkeypatch, forest, mode, sides, None, scalar=True)
+    rows = len(reference.engine.propagators) - 1  # one per posted row, and the matrix
+    want = _outcome(reference)
+    for queue in (None, random.Random(1), random.Random(2)):
+        model = _posted_model(monkeypatch, forest, mode, sides, queue, scalar=False)
+        assert len(model.engine.propagators) <= 4
+        assert sum(p.size() for p in model.engine.propagators) == rows
+        assert _outcome(model) == want
+
+
+def test_model_instances_cover_both_outcomes_modes_and_row_kinds(monkeypatch):
+    outcomes, kinds = set(), set()
+    for seed in range(24):
+        forest, mode, sides = _model_instance(seed)
+        model = _posted_model(monkeypatch, forest, mode, sides, None, scalar=False)
+        kinds.update((mode, type(p).__name__) for p in model.engine.propagators if p.size())
+        outcomes.add((mode, _outcome(model) is None))
+    assert outcomes == {(m, failed) for m in ("hard", "soft") for failed in (False, True)}
+    assert {"Less", "LessEq", "Equal"} <= {k for _, k in kinds}
+
+
+# -- undo of rows and subscriptions ------------------------------------------------
+
+
+def _batches(seed):
+    """Labels and post batches over one master tree: fans first, so the
+    `Less` table and `LessEq` rows to three extra variables first appear
+    after a checkpoint; the last batch may contradict the master."""
+    rng = random.Random(seed)
+    n = rng.randint(6, 12)
+    labels = species_labels(n)
+    master = random_tree(labels, rng)
+    atoms = hard_breakup(master)
+    rng.shuffle(atoms)
+    fans = [("atom", a) for a in atoms if isinstance(a, Fan)]
+    triples = [("atom", a) for a in atoms if isinstance(a, Triple)]
+    ext = [("le", (k, rng.sample(labels, 2))) for k in range(3)]
+    ext += [("lt", (k, rng.sample(labels, 2))) for k in range(2)]
+    bad = ("atom", Triple.of(*rng.sample(labels, 3)))
+    cut = len(triples) // 2
+    return labels, [fans[:2], triples[:cut] + ext[:2], fans[2:] + ext[2:], triples[cut:], [bad]]
+
+
+def _engine(labels, queue_rng=None):
+    s = Store()
+    e = Engine(s, rng=queue_rng)
+    m = MrcaMatrix(s, labels)
+    extra = s.new_vars(3, 1, len(labels) - 1)
+    post_um_matrix(e, m)
+    return s, e, m, extra
+
+
+def _post(e, m, extra, batch):
+    for kind, arg in batch:
+        if kind == "atom":
+            post_atom(e, m, arg)
+        else:
+            k, (a, b) = arg
+            cell = m.cell_by_label(a, b)
+            if kind == "le":
+                post_le(e, extra[k], cell)
+            else:
+                post_lt(e, cell, extra[k])
+
+
+def _tables(e):
+    return [
+        (type(p).__name__, p.size(), getattr(p, "after_min", None), getattr(p, "after_max", None))
+        for p in e.propagators
+    ]
+
+
+def _subscribers(e):
+    return [[type(q).__name__ for q in subs] for subs in e._subs]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_restore_drops_rows_and_subscriptions_posted_since(seed):
+    # nested checkpoints with posts after each, restored in stack order
+    labels, batches = _batches(seed)
+    s, e, m, extra = _engine(labels)
+    _post(e, m, extra, batches[0])
+    assert e.propagate() is PropagateResult.FIXPOINT
+    stack = []
+    for batch in batches[1:]:
+        stack.append(e.checkpoint())
+        _post(e, m, extra, batch)
+        if e.propagate() is PropagateResult.FAILURE:
+            break
+    while stack:
+        e.restore(stack.pop())
+        kept = len(stack) + 1
+        rs, re_, rm, rextra = _engine(labels)
+        for batch in batches[:kept]:
+            _post(re_, rm, rextra, batch)
+        assert re_.propagate() is PropagateResult.FIXPOINT
+        assert _tables(e) == _tables(re_)
+        assert _subscribers(e) == _subscribers(re_)
+        assert (bytes(s.lbs), bytes(s.ubs)) == (bytes(rs.lbs), bytes(rs.ubs))
+        # the dropped rows posted again reach the fresh engine's fixpoint
+        probe = e.checkpoint()
+        _post(e, m, extra, batches[kept])
+        _post(re_, rm, rextra, batches[kept])
+        got, want = e.propagate(), re_.propagate()
+        assert got is want
+        if want is PropagateResult.FIXPOINT:
+            assert (bytes(s.lbs), bytes(s.ubs)) == (bytes(rs.lbs), bytes(rs.ubs))
+        e.restore(probe)
+    assert [p.size() for p in e.propagators] == [0] + ([len(batches[0])] if batches[0] else [])

@@ -10,7 +10,6 @@ from umtree import (
     DateBounds,
     Engine,
     Event,
-    PhyloTree,
     Predates,
     PropagateResult,
     RankAssign,
@@ -32,7 +31,15 @@ from umtree.phylo import Fan, Triple
 from umtree.supertree import apply_side
 from umtree.ultrametric import MrcaMatrix, UltrametricMatrix, lb_fix, ub_fix, um3_wake
 
-from oracles import RowWakeMatrix, all_boxes, bcz_box_oracle, ultrametric_tuples, um3_fixpoint
+from oracles import (
+    RowWakeMatrix,
+    all_boxes,
+    bcz_box_oracle,
+    ranked_by_depth,
+    swap_leaves,
+    ultrametric_tuples,
+    um3_fixpoint,
+)
 
 
 def _vars(store, *boxes):
@@ -374,13 +381,6 @@ def test_matrix_closed_forms_equal_um3_on_every_box_triple():
         assert got == um3_fixpoint(triple), triple
 
 
-def _ranked(tree, depth=1):
-    """The tree with every internal node ranked by its depth (root 1)."""
-    if tree.is_leaf:
-        return tree
-    return PhyloTree(tuple(_ranked(c, depth + 1) for c in tree.children), rank=depth)
-
-
 def _sided_instance(seed):
     """Atoms and side constraints over n = 12..20 species.
 
@@ -392,7 +392,7 @@ def _sided_instance(seed):
     rng = random.Random(seed)
     n = 12 + seed % 9
     labels = species_labels(n)
-    master = _ranked(random_tree(labels, rng))
+    master = ranked_by_depth(random_tree(labels, rng))
     depth = tree_to_matrix(master)
     trees = [restrict_and_suppress(master, rng.sample(labels, rng.randint(4, n // 2))) for _ in range(3)]
     atoms = sorted({a for t in trees for a in hard_breakup(t)}, key=str)
@@ -506,12 +506,6 @@ def test_batch_wake_equals_merged_single_cell_wakes():
     assert narrowed > 20 and failed > 0  # the sample exercises both outcomes
 
 
-def _swap_labels(tree, a, b):
-    if tree.is_leaf:
-        return PhyloTree(label={a: b, b: a}.get(tree.label, tree.label))
-    return PhyloTree(tuple(_swap_labels(c, a, b) for c in tree.children))
-
-
 def _forest_fixpoint(trees, mode, reference, queue_rng):
     s = Store()
     e = Engine(s, rng=queue_rng)
@@ -539,7 +533,7 @@ def test_batch_wakes_equal_the_reference_row_wakes_on_forests(seed, mode):
     trees = random_forest(n, 3, 0.25, rng)
     swapped = list(trees)
     labels = sorted(leaf_labels(swapped[0]))
-    swapped[0] = _swap_labels(swapped[0], *rng.sample(labels, 2))
+    swapped[0] = swap_leaves(swapped[0], *rng.sample(labels, 2))
     for forest in (trees, swapped):
         want = _forest_fixpoint(forest, mode, True, None)
         for queue in (None, random.Random(1), random.Random(2)):
