@@ -2,18 +2,7 @@
 
 from .store import Checkpoint, Event, StaleCheckpointError, Store
 from .engine import Engine, PropagateResult, Propagator, RunStats
-from .ultrametric import (
-    DelayedDisjunctionUm3,
-    MrcaMatrix,
-    UltrametricMatrix,
-    UltrametricThree,
-    lb_fix,
-    post_delayed_disjunction_um3,
-    post_um3,
-    post_um_matrix,
-    ub_fix,
-    um3_wake,
-)
+from .ultrametric import MrcaMatrix, UltrametricMatrix, post_um_matrix
 from .relations import post_atom, post_eq2, post_eq3, post_fan, post_le, post_lt, post_triple
 from .phylo import (
     Fan,
@@ -22,7 +11,6 @@ from .phylo import (
     PhyloTree,
     Triple,
     UltrametricIntMatrix,
-    all_rooted_trees,
     atom_holds,
     canonical_form,
     depth_labels,

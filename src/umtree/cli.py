@@ -72,7 +72,11 @@ def _parse_constraints(path: str) -> list[SideConstraint]:
                 _, a, b, c, d = parts
                 sides.append(Predates(c=a, d=b, a=c, b=d))
             elif parts[0] == "bounds" and len(parts) == 5:
-                sides.append(DateBounds(parts[1], parts[2], int(parts[3]), int(parts[4])))
+                try:
+                    lo, hi = int(parts[3]), int(parts[4])
+                except ValueError:
+                    raise ValueError(f"{path}:{ln}: bounds need two integers, got {line!r}") from None
+                sides.append(DateBounds(parts[1], parts[2], lo, hi))
             else:
                 raise ValueError(f"{path}:{ln}: unknown constraint line {line!r}")
     return sides

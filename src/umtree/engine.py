@@ -52,9 +52,8 @@ class Propagator:
     mask, and `events` is the union of those masks. The key None stands
     for work scheduled without an event: the initial wake right after
     registration, or rows posted to a relation table, with event kinds
-    MIN | MAX. Called with `changed=None` instead of a map, a wake runs a
-    full filter over everything it constrains. The propagator is queued
-    exactly while its pending map, `_pending`, is non-empty.
+    MIN | MAX. The propagator is queued exactly while its pending map,
+    `_pending`, is non-empty.
 
     `LEVEL` picks the queue level: 0 for cheap propagators, 1 for one
     that is woken only once no level-0 propagator is queued.
@@ -64,16 +63,15 @@ class Propagator:
     the engine calls both around a checkpoint.
     """
 
-    __slots__ = ("watched", "wake_count", "_pending")
+    __slots__ = ("watched", "_pending")
 
     LEVEL = 0
 
     def __init__(self, watched: Sequence[int]):
         self.watched = tuple(watched)
-        self.wake_count = 0
         self._pending: dict[Optional[int], int] = {}
 
-    def wake(self, store: Store, changed: Optional[dict[Optional[int], int]], events: int) -> None:
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
         raise NotImplementedError
 
     def size(self) -> int:
@@ -188,7 +186,6 @@ class Engine:
             p = self._pop()
             changed = p._pending
             p._pending = {}
-            p.wake_count += 1
             stats.wakes += 1
             p.wake(store, changed, reduce(or_, changed.values()))
 

@@ -687,50 +687,3 @@ def atom_holds(matrix: UltrametricIntMatrix, atom: Atom) -> bool:
         )
     a = matrix.value(atom.x, atom.y)
     return a == matrix.value(atom.x, atom.z) == matrix.value(atom.y, atom.z)
-
-
-# -- exhaustive enumeration (test oracle) ------------------------------------
-
-
-def _set_partitions(items: tuple) -> Iterator[list[tuple]]:
-    """All partitions of items into unordered non-empty blocks."""
-    if len(items) == 1:
-        yield [items]
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [(first,) + part[i]] + part[i + 1 :]
-        yield [(first,)] + part
-
-
-def all_rooted_trees(leaves: Iterable[str], max_leaves: int = 8) -> Iterator[PhyloTree]:
-    """Every rooted tree on the leaf set, once per isomorphism class.
-
-    All interior degrees are >= 2. Guarded to small leaf sets; the count
-    grows like 1, 1, 4, 26, 236, 2752, 39208, 660032.
-    """
-    labels = tuple(sorted(set(leaves)))
-    if not labels:
-        raise ValueError("need at least one leaf")
-    if len(labels) > max_leaves:
-        raise ValueError(f"refusing to enumerate more than {max_leaves} leaves")
-
-    memo: dict[tuple, list[PhyloTree]] = {}
-
-    def gen(block: tuple) -> list[PhyloTree]:
-        if block in memo:
-            return memo[block]
-        if len(block) == 1:
-            out = [leaf(block[0])]
-        else:
-            out = []
-            for part in _set_partitions(block):
-                if len(part) < 2:
-                    continue
-                for combo in itertools.product(*(gen(b) for b in part)):
-                    out.append(PhyloTree(children=combo))
-        memo[block] = out
-        return out
-
-    yield from gen(labels)

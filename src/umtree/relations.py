@@ -85,12 +85,10 @@ class _Table(Propagator):
         engine.schedule(self)
         return self
 
-    def _fresh_rows(self, changed: Optional[dict]) -> list[Row]:
-        """The rows a wake applies in full: all of them for changed=None,
-        else those posted since the last wake."""
-        rows = self.rows
-        fresh = rows if changed is None else rows[self._applied:]
-        self._applied = len(rows)
+    def _fresh_rows(self) -> list[Row]:
+        """The rows posted since the last wake, which it applies in full."""
+        fresh = self.rows[self._applied:]
+        self._applied = len(self.rows)
         return fresh
 
     def size(self) -> int:
@@ -121,17 +119,15 @@ class _Order(_Table):
     MIN_KEYS, MAX_KEYS = slice(0, 1), slice(1, 2)
     OFFSET = 0
 
-    def _apply(self, store: Store, changed: Optional[dict[Optional[int], int]]) -> None:
+    def _apply(self, store: Store, changed: dict[Optional[int], int]) -> None:
         d = self.OFFSET
         lbs, ubs = store.lbs, store.ubs
         tighten_lb, tighten_ub = store.tighten_lb, store.tighten_ub
-        for a, b in self._fresh_rows(changed):
+        for a, b in self._fresh_rows():
             if lbs[b] < lbs[a] + d:
                 tighten_lb(b, lbs[a] + d)
             if ubs[a] > ubs[b] - d:
                 tighten_ub(a, ubs[b] - d)
-        if changed is None:
-            return
         after_min, after_max = self.after_min, self.after_max
         for v, ev in changed.items():
             if v is None:
@@ -155,7 +151,7 @@ class Less(_Order):
 
     OFFSET = 1
 
-    def wake(self, store: Store, changed: Optional[dict[Optional[int], int]], events: int) -> None:
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
         self._apply(store, changed)
 
 
@@ -164,7 +160,7 @@ class LessEq(_Order):
 
     __slots__ = ()
 
-    def wake(self, store: Store, changed: Optional[dict[Optional[int], int]], events: int) -> None:
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
         self._apply(store, changed)
 
 
@@ -174,10 +170,10 @@ class Equal(_Table):
 
     __slots__ = ()
 
-    def wake(self, store: Store, changed: Optional[dict[Optional[int], int]], events: int) -> None:
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
         lbs, ubs = store.lbs, store.ubs
         tighten_lb, tighten_ub = store.tighten_lb, store.tighten_ub
-        for group in self._fresh_rows(changed):
+        for group in self._fresh_rows():
             lo = max(map(lbs.__getitem__, group))
             hi = min(map(ubs.__getitem__, group))
             for u in group:
@@ -185,8 +181,6 @@ class Equal(_Table):
                     tighten_lb(u, lo)
                 if ubs[u] > hi:
                     tighten_ub(u, hi)
-        if changed is None:
-            return
         after_min, after_max = self.after_min, self.after_max
         for v, ev in changed.items():
             if v is None:

@@ -107,10 +107,6 @@ class Store:
 
     # -- mutations ----------------------------------------------------
 
-    def fail(self) -> None:
-        """Mark the store failed; domains keep their last valid values."""
-        self.failed = True
-
     def tighten_lb(self, v: int, val: int) -> int:
         """Raise lb(v) to val. No-op if val <= lb; fails if val > ub."""
         if self.failed:

@@ -2,20 +2,12 @@
 
 The ultrametric relation over three integers requires a tie for the
 minimum: either all three are equal, or two are equal and the third is
-strictly greater. This module provides
-
-* `lb_fix` / `ub_fix`: single-pass bound filters for one variable triple,
-* a three-variable propagator (`UltrametricThree`) that reaches bounds
-  consistency per wake; the tests use it as the reference for the
-  matrix propagator,
-* a whole-matrix propagator (`UltrametricMatrix`) that enforces the
-  relation over every index triple of a symmetric matrix of variables
-  while storing only one propagator object (constant code representation
-  instead of an n-choose-3 constraint list), applying the per-triple
-  closed forms to the two rows of every changed cell at once, and
-* a deliberately weak disjunctive propagator (`DelayedDisjunctionUm3`)
-  that only filters once a single disjunct remains bound-feasible; it
-  exists to demonstrate why the specialised propagator is needed.
+strictly greater. This module provides the symmetric matrix of mrca
+depth variables (`MrcaMatrix`) and one propagator (`UltrametricMatrix`)
+that enforces the relation over every index triple of that matrix while
+storing only one propagator object (constant code representation instead
+of an n-choose-3 constraint list), applying the per-triple closed forms
+to the two rows of every changed cell at once.
 
 Lower bounds that are individually supported always support each other,
 so at any non-failed fixpoint the lower-bound tuple itself satisfies the
@@ -30,92 +22,6 @@ import numpy as np
 
 from .engine import Engine, Propagator
 from .store import Event, Store
-
-
-def lb_fix(store: Store, x: int, y: int, z: int) -> None:
-    """Raise the strictly smallest lower bound up to the middle one.
-
-    After one pass the three lower bounds form a tie for the minimum.
-    Sorting ties break by variable index for reproducibility. May fail
-    the store when the raise crosses an upper bound.
-    """
-    lbs = store.lbs
-    a, b, c = x, y, z
-    if (lbs[b], b) < (lbs[a], a):
-        a, b = b, a
-    if (lbs[c], c) < (lbs[b], b):
-        b, c = c, b
-        if (lbs[b], b) < (lbs[a], a):
-            a, b = b, a
-    if lbs[a] < lbs[b]:
-        store.tighten_lb(a, lbs[b])
-
-
-def ub_fix(store: Store, x: int, y: int, z: int) -> None:
-    """Drop an unsupported upper bound, if any, in a single pass.
-
-    With S, M, L the variables in non-decreasing upper-bound order
-    (ties by index): when ub(S) < ub(M), ub(M) is supported only through
-    a common value of S and L, and ub(L) only through one of S and M.
-    Emptiness of those bound intersections decides which bound falls to
-    ub(S). May fail the store when the drop crosses a lower bound.
-    """
-    ubs = store.ubs
-    lbs = store.lbs
-    a, b, c = x, y, z
-    if (ubs[b], b) < (ubs[a], a):
-        a, b = b, a
-    if (ubs[c], c) < (ubs[b], b):
-        b, c = c, b
-        if (ubs[b], b) < (ubs[a], a):
-            a, b = b, a
-    su = ubs[a]
-    if su < ubs[b]:
-        if lbs[c] > su:  # S and L cannot meet
-            store.tighten_ub(b, su)
-        elif lbs[b] > su:  # S and M cannot meet
-            store.tighten_ub(c, su)
-
-
-def um3_wake(store: Store, x: int, y: int, z: int, events: int) -> None:
-    """One wake over a variable triple: the filters its event kinds demand.
-
-    A lower-bound change can invalidate both lower and upper bounds, so
-    MIN runs lb_fix then ub_fix; an upper-bound change can only
-    invalidate upper bounds, so MAX alone runs ub_fix. ub_fix is skipped
-    when lb_fix already failed the store.
-    """
-    if events & Event.MIN:
-        lb_fix(store, x, y, z)
-        if not store.failed:
-            ub_fix(store, x, y, z)
-    elif events & Event.MAX:
-        ub_fix(store, x, y, z)
-
-
-class UltrametricThree(Propagator):
-    """Bounds-consistency propagator for one variable triple.
-
-    A wake filters by the union of its events, whichever variables
-    changed.
-    """
-
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x: int, y: int, z: int):
-        if len({x, y, z}) != 3:
-            raise ValueError("ultrametric triple needs three distinct variables")
-        super().__init__((x, y, z))
-        self.x, self.y, self.z = x, y, z
-
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
-        um3_wake(store, self.x, self.y, self.z, events)
-
-
-def post_um3(engine: Engine, x: int, y: int, z: int) -> UltrametricThree:
-    p = UltrametricThree(x, y, z)
-    engine.register(p)
-    return p
 
 
 class MrcaMatrix:
@@ -162,13 +68,6 @@ class MrcaMatrix:
     def cell_by_label(self, a: str, b: str) -> int:
         return self.cell(self.index[a], self.index[b])
 
-    def index_of(self, var: int) -> tuple[int, int]:
-        k = var - self.cell_vars[0]
-        if not 0 <= k < len(self.pairs):
-            raise KeyError(var)
-        i, j = self.pairs[k].tolist()
-        return i, j
-
     def lower_bounds(self) -> np.ndarray:
         """Current lb of every cell as a full symmetric n x n array."""
         if not self.cell_vars:  # one species: no cells to gather
@@ -213,8 +112,7 @@ class UltrametricMatrix(Propagator):
 
     An event at cell x = (i, j) concerns the n-2 triples (x, u_k, w_k)
     with u_k = M[i,k] and w_k = M[j,k]. Per triple, bounds consistency
-    has two closed forms, which reach the same fixpoint as iterating
-    lb_fix and ub_fix:
+    has two closed forms:
 
     * lower bounds: lb(v) >= min(lb(u), lb(w)) for every member v and
       the two others u, w;
@@ -248,11 +146,9 @@ class UltrametricMatrix(Propagator):
         super().__init__(matrix.cell_vars)
         self.matrix = matrix
 
-    def wake(self, store: Store, changed: Optional[dict[Optional[int], int]], events: int) -> None:
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
         mat = self.matrix
         n = mat.n
-        if changed is None:
-            changed = dict.fromkeys(mat.cell_vars, Event.MIN | Event.MAX)
         cells = [v for v in changed if v is not None]
         # views into the store's arrays; they must not outlive this call
         lbs = np.frombuffer(store.lbs, dtype=np.int64)
@@ -282,66 +178,5 @@ class UltrametricMatrix(Propagator):
 def post_um_matrix(engine: Engine, matrix: MrcaMatrix) -> UltrametricMatrix:
     """Register the single matrix propagator watching every cell."""
     p = UltrametricMatrix(matrix)
-    engine.register(p)
-    return p
-
-
-class DelayedDisjunctionUm3(Propagator):
-    """Weak disjunctive encoding of the ultrametric triple (demonstrator).
-
-    Mirrors how generic toolkits treat a disjunction of the four shapes
-    (x > y = z), (y > x = z), (z > x = y), (x = y = z): nothing is
-    filtered until at most one disjunct remains bound-feasible. Kept only
-    to reproduce the non-pruning behaviour that motivates the specialised
-    propagator; never used by the supertree pipeline. A wake re-checks
-    every disjunct, whichever variables changed.
-    """
-
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x: int, y: int, z: int):
-        super().__init__((x, y, z))
-        self.x, self.y, self.z = x, y, z
-
-    @staticmethod
-    def _tie_feasible(store: Store, top: int, u: int, v: int) -> bool:
-        # top > u = v realisable within current bounds
-        lo = max(store.lbs[u], store.lbs[v])
-        hi = min(store.ubs[u], store.ubs[v])
-        return lo <= hi and store.ubs[top] >= lo + 1
-
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
-        x, y, z = self.x, self.y, self.z
-        lbs, ubs = store.lbs, store.ubs
-        feas = [
-            self._tie_feasible(store, x, y, z),
-            self._tie_feasible(store, y, x, z),
-            self._tie_feasible(store, z, x, y),
-            max(lbs[x], lbs[y], lbs[z]) <= min(ubs[x], ubs[y], ubs[z]),
-        ]
-        alive = feas.count(True)
-        if alive == 0:
-            store.fail()
-            return
-        if alive > 1:
-            return
-        if feas[3]:
-            lo = max(lbs[x], lbs[y], lbs[z])
-            hi = min(ubs[x], ubs[y], ubs[z])
-            for v in (x, y, z):
-                store.tighten_lb(v, lo)
-                store.tighten_ub(v, hi)
-        else:
-            top, u, v = ((x, y, z), (y, x, z), (z, x, y))[feas.index(True)]
-            lo = max(lbs[u], lbs[v])
-            hi = min(ubs[u], ubs[v], ubs[top] - 1)
-            for w in (u, v):
-                store.tighten_lb(w, lo)
-                store.tighten_ub(w, hi)
-            store.tighten_lb(top, lo + 1)
-
-
-def post_delayed_disjunction_um3(engine: Engine, x: int, y: int, z: int) -> DelayedDisjunctionUm3:
-    p = DelayedDisjunctionUm3(x, y, z)
     engine.register(p)
     return p

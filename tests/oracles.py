@@ -1,10 +1,19 @@
-"""Independent brute-force oracles shared by the test modules.
+"""Independent brute-force oracles and references shared by the test modules.
 
 Everything here recomputes expected values from first principles
 (enumeration over tuples or over all rooted trees), deliberately not
-reusing the propagation code paths it checks. It also keeps the
-implementations that faster code replaced, as references, and two
-helpers that build test forests.
+reusing the propagation code paths it checks. It holds
+
+* the per-triple reference of the matrix propagator: the bound filters
+  `lb_fix`/`ub_fix`, their wake `um3_wake`, and the propagator
+  `UltrametricThree` (posted by `post_um3`);
+* the weak disjunctive encoding `DelayedDisjunctionUm3` (posted by
+  `post_delayed_disjunction_um3`), which shows why the specialised
+  propagator is needed;
+* the brute-force generator of every rooted tree, `all_rooted_trees`;
+* the implementations that faster code replaced, as references:
+  `RowWakeMatrix` and the scalar relations;
+* two helpers that build test forests, and the tree-side oracles.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ import itertools
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter, ne
+from typing import Iterable, Iterator, Optional
 
 from umtree import (
     Engine,
@@ -22,10 +32,9 @@ from umtree import (
     PropagateResult,
     Store,
     Triple,
-    all_rooted_trees,
     displays,
+    leaf,
     leaf_labels,
-    post_um3,
     tree_to_matrix,
 )
 from umtree.engine import Propagator
@@ -87,6 +96,160 @@ def all_boxes(max_value: int) -> list[Box]:
     return [(lo, hi) for lo in range(max_value + 1) for hi in range(lo, max_value + 1)]
 
 
+# -- per-triple reference of the matrix propagator --------------------------------
+
+
+def lb_fix(store: Store, x: int, y: int, z: int) -> None:
+    """Raise the strictly smallest lower bound up to the middle one.
+
+    After one pass the three lower bounds form a tie for the minimum.
+    Sorting ties break by variable index for reproducibility. May fail
+    the store when the raise crosses an upper bound.
+    """
+    lbs = store.lbs
+    a, b, c = x, y, z
+    if (lbs[b], b) < (lbs[a], a):
+        a, b = b, a
+    if (lbs[c], c) < (lbs[b], b):
+        b, c = c, b
+        if (lbs[b], b) < (lbs[a], a):
+            a, b = b, a
+    if lbs[a] < lbs[b]:
+        store.tighten_lb(a, lbs[b])
+
+
+def ub_fix(store: Store, x: int, y: int, z: int) -> None:
+    """Drop an unsupported upper bound, if any, in a single pass.
+
+    With S, M, L the variables in non-decreasing upper-bound order
+    (ties by index): when ub(S) < ub(M), ub(M) is supported only through
+    a common value of S and L, and ub(L) only through one of S and M.
+    Emptiness of those bound intersections decides which bound falls to
+    ub(S). May fail the store when the drop crosses a lower bound.
+    """
+    ubs = store.ubs
+    lbs = store.lbs
+    a, b, c = x, y, z
+    if (ubs[b], b) < (ubs[a], a):
+        a, b = b, a
+    if (ubs[c], c) < (ubs[b], b):
+        b, c = c, b
+        if (ubs[b], b) < (ubs[a], a):
+            a, b = b, a
+    su = ubs[a]
+    if su < ubs[b]:
+        if lbs[c] > su:  # S and L cannot meet
+            store.tighten_ub(b, su)
+        elif lbs[b] > su:  # S and M cannot meet
+            store.tighten_ub(c, su)
+
+
+def um3_wake(store: Store, x: int, y: int, z: int, events: int) -> None:
+    """One wake over a variable triple: the filters its event kinds demand.
+
+    A lower-bound change can invalidate both lower and upper bounds, so
+    MIN runs lb_fix then ub_fix; an upper-bound change can only
+    invalidate upper bounds, so MAX alone runs ub_fix. ub_fix is skipped
+    when lb_fix already failed the store.
+    """
+    if events & Event.MIN:
+        lb_fix(store, x, y, z)
+        if not store.failed:
+            ub_fix(store, x, y, z)
+    elif events & Event.MAX:
+        ub_fix(store, x, y, z)
+
+
+class UltrametricThree(Propagator):
+    """Bounds-consistency propagator for one variable triple, the
+    reference for the matrix propagator.
+
+    A wake filters by the union of its events, whichever variables
+    changed.
+    """
+
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: int, y: int, z: int):
+        if len({x, y, z}) != 3:
+            raise ValueError("ultrametric triple needs three distinct variables")
+        super().__init__((x, y, z))
+        self.x, self.y, self.z = x, y, z
+
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
+        um3_wake(store, self.x, self.y, self.z, events)
+
+
+def post_um3(engine: Engine, x: int, y: int, z: int) -> UltrametricThree:
+    p = UltrametricThree(x, y, z)
+    engine.register(p)
+    return p
+
+
+# -- weak disjunctive encoding ------------------------------------------------------
+
+
+class DelayedDisjunctionUm3(Propagator):
+    """Weak disjunctive encoding of the ultrametric triple (demonstrator).
+
+    Mirrors how generic toolkits treat a disjunction of the four shapes
+    (x > y = z), (y > x = z), (z > x = y), (x = y = z): nothing is
+    filtered until at most one disjunct remains bound-feasible. It
+    reproduces the non-pruning behaviour that motivates the specialised
+    propagator (criterion 01). A wake re-checks every disjunct, whichever
+    variables changed.
+    """
+
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: int, y: int, z: int):
+        super().__init__((x, y, z))
+        self.x, self.y, self.z = x, y, z
+
+    @staticmethod
+    def _tie_feasible(store: Store, top: int, u: int, v: int) -> bool:
+        # top > u = v realisable within current bounds
+        lo = max(store.lbs[u], store.lbs[v])
+        hi = min(store.ubs[u], store.ubs[v])
+        return lo <= hi and store.ubs[top] >= lo + 1
+
+    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
+        x, y, z = self.x, self.y, self.z
+        lbs, ubs = store.lbs, store.ubs
+        feas = [
+            self._tie_feasible(store, x, y, z),
+            self._tie_feasible(store, y, x, z),
+            self._tie_feasible(store, z, x, y),
+            max(lbs[x], lbs[y], lbs[z]) <= min(ubs[x], ubs[y], ubs[z]),
+        ]
+        alive = feas.count(True)
+        if alive == 0:
+            store.failed = True
+            return
+        if alive > 1:
+            return
+        if feas[3]:
+            lo = max(lbs[x], lbs[y], lbs[z])
+            hi = min(ubs[x], ubs[y], ubs[z])
+            for v in (x, y, z):
+                store.tighten_lb(v, lo)
+                store.tighten_ub(v, hi)
+        else:
+            top, u, v = ((x, y, z), (y, x, z), (z, x, y))[feas.index(True)]
+            lo = max(lbs[u], lbs[v])
+            hi = min(ubs[u], ubs[v], ubs[top] - 1)
+            for w in (u, v):
+                store.tighten_lb(w, lo)
+                store.tighten_ub(w, hi)
+            store.tighten_lb(top, lo + 1)
+
+
+def post_delayed_disjunction_um3(engine: Engine, x: int, y: int, z: int) -> DelayedDisjunctionUm3:
+    p = DelayedDisjunctionUm3(x, y, z)
+    engine.register(p)
+    return p
+
+
 # -- reference matrix propagator -----------------------------------------------
 
 
@@ -120,7 +283,7 @@ class RowWakeMatrix(Propagator):
 
     def row_wake(self, store, var, events):
         mat = self.matrix
-        i, j = mat.index_of(var)
+        i, j = mat.pairs[var - mat.cell_vars[0]].tolist()
         row_i, row_j = self.row_bounds[i], self.row_bounds[j]
         ids_u, ids_w = self.rows[i], self.rows[j]
         lbs, ubs = store.lbs, store.ubs
@@ -254,6 +417,53 @@ def swap_leaves(tree, a, b):
     if tree.is_leaf:
         return PhyloTree(label={a: b, b: a}.get(tree.label, tree.label))
     return PhyloTree(tuple(swap_leaves(c, a, b) for c in tree.children), tree.label, tree.rank)
+
+
+# -- every rooted tree ----------------------------------------------------------
+
+
+def _set_partitions(items: tuple) -> Iterator[list[tuple]]:
+    """All partitions of items into unordered non-empty blocks."""
+    if len(items) == 1:
+        yield [items]
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [(first,) + part[i]] + part[i + 1 :]
+        yield [(first,)] + part
+
+
+def all_rooted_trees(leaves: Iterable[str], max_leaves: int = 8) -> Iterator[PhyloTree]:
+    """Every rooted tree on the leaf set, once per isomorphism class.
+
+    All interior degrees are >= 2. Guarded to small leaf sets; the count
+    grows like 1, 1, 4, 26, 236, 2752, 39208, 660032.
+    """
+    labels = tuple(sorted(set(leaves)))
+    if not labels:
+        raise ValueError("need at least one leaf")
+    if len(labels) > max_leaves:
+        raise ValueError(f"refusing to enumerate more than {max_leaves} leaves")
+
+    memo: dict[tuple, list[PhyloTree]] = {}
+
+    def gen(block: tuple) -> list[PhyloTree]:
+        if block in memo:
+            return memo[block]
+        if len(block) == 1:
+            out = [leaf(block[0])]
+        else:
+            out = []
+            for part in _set_partitions(block):
+                if len(part) < 2:
+                    continue
+                for combo in itertools.product(*(gen(b) for b in part)):
+                    out.append(PhyloTree(children=combo))
+        memo[block] = out
+        return out
+
+    yield from gen(labels)
 
 
 # -- tree-side oracles ---------------------------------------------------------

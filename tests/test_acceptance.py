@@ -32,15 +32,13 @@ from umtree import (
     nested_preprocess,
     parse_newick,
     perfectly_displays,
-    post_delayed_disjunction_um3,
-    post_um3,
     post_um_matrix,
     taxa_descendants,
     tree_to_matrix,
 )
 from umtree.generate import random_forest, random_tree
 from umtree.relations import post_atom
-from umtree.ultrametric import MrcaMatrix, UltrametricMatrix, post_um3 as _post_um3
+from umtree.ultrametric import MrcaMatrix, UltrametricMatrix
 
 from oracles import (
     all_boxes,
@@ -48,6 +46,9 @@ from oracles import (
     bcz_box_oracle,
     candidates_with_codes,
     displays_by_codes,
+    post_delayed_disjunction_um3,
+    post_um3,
+    post_um3 as _post_um3,
     triple_codes,
     ultrametric_tuples,
     um3_fixpoint,

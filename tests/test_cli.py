@@ -267,6 +267,13 @@ def test_constraints_unknown_keyword_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_constraints_non_integer_bound_names_its_line(tmp_path, capsys):
+    f1 = _write(tmp_path, "t.nwk", "((a,b),c);\n")
+    cons = _write(tmp_path, "c.txt", "# a b from 1 to 3\nbounds a b x 3\n")
+    assert main(["build", f1, "--constraints", cons]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cons}:2: ")
+
+
 def test_build_ranked_trees_applies_ranks(tmp_path, capsys):
     f1 = _write(tmp_path, "t1.nwk", "((a,b)#2,c)#1;\n")
     f2 = _write(tmp_path, "t2.nwk", "((a,b)#3,d)#1;\n")  # conflicting rank for {a,b}

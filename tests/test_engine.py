@@ -8,9 +8,10 @@ from umtree import (
     Store,
     post_eq2,
     post_lt,
-    post_um3,
 )
 from umtree.engine import Propagator
+
+from oracles import ScalarLess, post_um3
 
 
 def test_register_eq_initial_propagation():
@@ -33,17 +34,30 @@ def test_register_on_failed_store_is_noop():
     assert e.propagate() is PropagateResult.FAILURE
 
 
+class _CountingLess(ScalarLess):
+    """a < b as its own propagator, counting its wakes."""
+
+    def __init__(self, a, b):
+        super().__init__(a, b)
+        self.wakes = 0
+
+    def wake(self, store, changed, events):
+        self.wakes += 1
+        super().wake(store, changed, events)
+
+
 def test_two_propagators_on_same_var_both_wake():
     s = Store()
     e = Engine(s)
     x, y, z = s.new_var(1, 9), s.new_var(1, 9), s.new_var(1, 9)
-    p1 = post_lt(e, x, y)
-    p2 = post_lt(e, y, z)
+    p1, p2 = _CountingLess(x, y), _CountingLess(y, z)
+    e.register(p1)
+    e.register(p2)
     assert e.propagate() is PropagateResult.FIXPOINT
-    w1, w2 = p1.wake_count, p2.wake_count
+    w1, w2 = p1.wakes, p2.wakes
     s.tighten_lb(y, 5)
     assert e.propagate() is PropagateResult.FIXPOINT
-    assert p1.wake_count > w1 and p2.wake_count > w2
+    assert p1.wakes > w1 and p2.wakes > w2
     assert s.domain(z) == (6, 9) and s.domain(x) == (1, 7)
 
 
@@ -120,13 +134,15 @@ def test_confluence_random_queue_order():
 
 
 class _SelfRewaker(Propagator):
-    """Raises its variable's lb by one per wake, up to a target."""
+    """Raises its variable's lb by one per wake, up to a target, and
+    counts its wakes."""
 
     def __init__(self, v, target):
         super().__init__((v,))
-        self.v, self.target = v, target
+        self.v, self.target, self.wakes = v, target, 0
 
     def wake(self, store, var, events):
+        self.wakes += 1
         if store.lbs[self.v] < self.target:
             store.tighten_lb(self.v, store.lbs[self.v] + 1)
 
@@ -139,7 +155,7 @@ def test_wake_effects_are_redispatched_including_self():
     e.register(p)
     assert e.propagate() is PropagateResult.FIXPOINT
     assert s.domain(v) == (7, 10)
-    assert p.wake_count >= 7
+    assert p.wakes >= 7
 
 
 def test_search_nodes_zero_for_pure_propagation():
@@ -156,7 +172,9 @@ def test_search_nodes_zero_for_pure_propagation():
 
 
 def test_fixpoint_is_globally_stable():
-    # no propagator, run by hand with full events, can narrow any further
+    # no um3 propagator, run by hand with full events, can narrow any
+    # further, and every row of the < table holds on both bounds
+    from umtree.relations import Less
     from umtree.store import Event
 
     for seed in range(40):
@@ -172,7 +190,11 @@ def test_fixpoint_is_globally_stable():
             continue
         snapshot = (list(s.lbs), list(s.ubs))
         for p in e.propagators:
-            p.wake(s, None, Event.MIN | Event.MAX)
+            if isinstance(p, Less):
+                for a, b in p.rows:
+                    assert s.lb(b) >= s.lb(a) + 1 and s.ub(a) <= s.ub(b) - 1
+                continue
+            p.wake(s, dict.fromkeys(p.watched, Event.MIN | Event.MAX), Event.MIN | Event.MAX)
             assert not s.failed
         assert (list(s.lbs), list(s.ubs)) == snapshot
         assert s.take_events() == []

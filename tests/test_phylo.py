@@ -10,7 +10,6 @@ from umtree import (
     PhyloTree,
     Triple,
     UltrametricIntMatrix,
-    all_rooted_trees,
     atom_holds,
     canonical_form,
     depth_labels,
@@ -32,7 +31,7 @@ from umtree import (
 from umtree.generate import random_tree
 import numpy as np
 
-from oracles import triple_codes, displays_by_codes, candidates_with_codes
+from oracles import all_rooted_trees, triple_codes, displays_by_codes, candidates_with_codes
 
 
 # -- Newick -------------------------------------------------------------------

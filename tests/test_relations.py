@@ -159,18 +159,6 @@ def test_one_table_per_kind_holds_every_row():
     assert [len(subs) for subs in e._subs] == [3, 2, 3]
 
 
-def test_full_filter_applies_every_row():
-    s = Store()
-    e = Engine(s)
-    a, b = s.new_var(1, 9), s.new_var(1, 9)
-    lt = post_lt(e, a, b)
-    assert e.propagate() is PropagateResult.FIXPOINT
-    s.tighten_lb(a, 5)
-    s.take_events()  # the table is not told: only a full filter sees the move
-    lt.wake(s, None, 0)
-    assert s.domain(b) == (6, 9)
-
-
 # -- tables against the per-atom reference relations --------------------------------
 
 
