@@ -58,28 +58,44 @@ def _load_forest(paths) -> Forest:
     return Forest.from_trees(_read_trees(paths))
 
 
-def _parse_constraints(path: str) -> list[SideConstraint]:
+def _parse_constraints(path: str, species: set[str]) -> list[SideConstraint]:
     """Line-oriented sidecar: `predates a b c d` posts M_ab < M_cd,
-    `bounds a b LO HI` clamps M_ab; `#` starts a comment."""
+    `bounds a b LO HI` clamps M_ab; `#` starts a comment. A line that
+    names a species outside `species`, pairs a species with itself or
+    gives an empty range is an error that names its `path:line`."""
     sides: list[SideConstraint] = []
     with open(path) as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "predates" and len(parts) == 5:
-                _, a, b, c, d = parts
-                sides.append(Predates(c=a, d=b, a=c, b=d))
-            elif parts[0] == "bounds" and len(parts) == 5:
+            if line:
                 try:
-                    lo, hi = int(parts[3]), int(parts[4])
-                except ValueError:
-                    raise ValueError(f"{path}:{ln}: bounds need two integers, got {line!r}") from None
-                sides.append(DateBounds(parts[1], parts[2], lo, hi))
-            else:
-                raise ValueError(f"{path}:{ln}: unknown constraint line {line!r}")
+                    sides.append(_parse_side(line, species))
+                except ValueError as e:
+                    raise ValueError(f"{path}:{ln}: {e}") from None
     return sides
+
+
+def _parse_side(line: str, species: set[str]) -> SideConstraint:
+    parts = line.split()
+    if len(parts) != 5 or parts[0] not in ("predates", "bounds"):
+        raise ValueError(f"unknown constraint line {line!r}")
+    kind, a, b, c, d = parts
+    pairs = ((a, b), (c, d)) if kind == "predates" else ((a, b),)
+    for x, y in pairs:
+        for s in (x, y):
+            if s not in species:
+                raise ValueError(f"unknown species {s!r}")
+        if x == y:
+            raise ValueError(f"{x} {x} is a diagonal cell, the constant 0, not a variable")
+    if kind == "predates":
+        return Predates(c=a, d=b, a=c, b=d)
+    try:
+        lo, hi = int(c), int(d)
+    except ValueError:
+        raise ValueError(f"bounds need two integers, got {line!r}") from None
+    if lo > hi:
+        raise ValueError(f"bounds {lo} {hi} are an empty range")
+    return DateBounds(a, b, lo, hi)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -109,7 +125,9 @@ def _stats_json(model, build_ms: float, solve_ms: float, result: str, extra: dic
 
 def _cmd_build(args) -> int:
     forest = _load_forest(args.files)
-    sides = _parse_constraints(args.constraints) if args.constraints else []
+    # nested-taxa preprocessing replaces the leaf occurrences of a taxon
+    species = set(forest.species).difference(forest.taxa)
+    sides = _parse_constraints(args.constraints, species) if args.constraints else []
     outcome = build_supertree(forest, mode=args.mode, sides=sides)
     print(
         _stats_json(outcome.model, outcome.build_ms, outcome.solve_ms, outcome.status),

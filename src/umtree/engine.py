@@ -1,11 +1,14 @@
 """Event-driven propagation to fixpoint.
 
-Propagators subscribe to variables; bound mutations raise domain events
-which the engine coalesces per propagator and dispatches until no
-propagator can narrow any domain (fixpoint) or the store fails. A
-dequeued propagator is woken once with every variable that changed since
-its last wake. Events generated during a wake wait on the store's trail
-and are routed after the wake returns, so a propagator can re-wake itself.
+Bound mutations raise domain events, which the engine hands to every
+registered propagator, coalesced per propagator, and dispatches until no
+propagator can narrow any domain (fixpoint) or the store fails. The
+engine keeps no subscriptions: a model holds a handful of propagators,
+and each reads an event through its own index of the variables it
+concerns, ignoring the rest. A dequeued propagator is woken once with
+every variable that changed since its last wake. Events generated during
+a wake wait on the store's trail and are routed after the wake returns,
+so a propagator can re-wake itself.
 The queue has two levels: a propagator of the deferred level (the costly
 matrix propagator) is woken only once the first level is empty, so the
 cheap relations reach their own fixpoint first and a matrix wake sees
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import or_
-from typing import Optional, Sequence
+from typing import Optional
 
 from .store import Checkpoint, Event, Store
 
@@ -44,13 +47,14 @@ class RunStats:
 
 
 class Propagator:
-    """Base class: narrows domains when woken by events on watched vars.
+    """Base class: narrows domains when woken by domain events.
 
     Subclasses implement wake(store, changed, events), which returns
-    nothing and may only narrow domains. `changed` maps every watched
-    variable that changed since the last wake to its coalesced event
-    mask, and `events` is the union of those masks. The key None stands
-    for work scheduled without an event: the initial wake right after
+    nothing and may only narrow domains. `changed` maps every variable of
+    the store that changed since the last wake to its coalesced event
+    mask, and `events` is the union of those masks; a propagator skips
+    the variables it does not concern. The key None stands for work
+    scheduled without an event: the initial wake right after
     registration, or rows posted to a relation table, with event kinds
     MIN | MAX. The propagator is queued exactly while its pending map,
     `_pending`, is non-empty.
@@ -63,12 +67,11 @@ class Propagator:
     the engine calls both around a checkpoint.
     """
 
-    __slots__ = ("watched", "_pending")
+    __slots__ = ("_pending",)
 
     LEVEL = 0
 
-    def __init__(self, watched: Sequence[int]):
-        self.watched = tuple(watched)
+    def __init__(self):
         self._pending: dict[Optional[int], int] = {}
 
     def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
@@ -85,7 +88,6 @@ class Propagator:
 class EngineCheckpoint:
     store_cp: Checkpoint
     n_propagators: int
-    n_watches: int
     sizes: tuple[int, ...]
 
 
@@ -105,22 +107,10 @@ class Engine:
         self.store = store
         self.propagators: list[Propagator] = []
         self.stats = RunStats()
-        self._subs: list[list[Propagator]] = []
-        self._watch_log: list[int] = []  # subscribed variables, in order
         self._queues: tuple[deque[Propagator], deque[Propagator]] = (deque(), deque())
         self._rng = rng
 
     # -- registration ---------------------------------------------------
-
-    def watch(self, p: Propagator, vs: Sequence[int]) -> None:
-        """Subscribe p to the events of the variables vs (undone by restore)."""
-        subs = self._subs
-        missing = self.store.num_vars - len(subs)
-        if missing:
-            subs.extend([[] for _ in range(missing)])
-        for v in vs:
-            subs[v].append(p)
-        self._watch_log.extend(vs)
 
     def schedule(self, p: Propagator) -> None:
         """Queue p for a wake with the event-less key None."""
@@ -129,14 +119,13 @@ class Engine:
         p._pending[None] = _INITIAL_EVENTS
 
     def register(self, p: Propagator) -> None:
-        """Subscribe p to its watched variables and schedule it once.
+        """Add p to the propagators every event goes to, and schedule it once.
 
         No-op on a failed store (propagate will just report the failure).
         """
         if self.store.failed:
             return
         self.propagators.append(p)
-        self.watch(p, p.watched)
         self.schedule(p)
         if len(self.propagators) > self.stats.peak_propagators:
             self.stats.peak_propagators = len(self.propagators)
@@ -146,16 +135,14 @@ class Engine:
     # -- propagation ----------------------------------------------------
 
     def _route_events(self) -> None:
-        subs = self._subs
-        nsubs = len(subs)
-        queues = self._queues
-        for var, ev, _ in self.store.take_events():
-            if var >= nsubs:
-                continue
-            for q in subs[var]:
-                pend = q._pending
-                if not pend:
-                    queues[q.LEVEL].append(q)
+        events = self.store.take_events()
+        if not events:
+            return
+        for q in self.propagators:
+            pend = q._pending
+            if not pend:
+                self._queues[q.LEVEL].append(q)
+            for var, ev, _ in events:
                 pend[var] = pend.get(var, 0) | ev
 
     def _pop(self) -> Propagator:
@@ -198,21 +185,15 @@ class Engine:
         return EngineCheckpoint(
             store_cp=self.store.checkpoint(),
             n_propagators=len(self.propagators),
-            n_watches=len(self._watch_log),
             sizes=tuple(p.size() for p in self.propagators),
         )
 
     def restore(self, cp: EngineCheckpoint) -> None:
-        """Undo domains, registrations, subscriptions and rows back to cp."""
+        """Undo domains, registrations and rows back to cp."""
         for queue in self._queues:
             for q in queue:
                 q._pending.clear()
             queue.clear()
-        log, subs = self._watch_log, self._subs
-        # subscriptions made since cp sit at the tails of their lists
-        for v in reversed(log[cp.n_watches:]):
-            subs[v].pop()
-        del log[cp.n_watches:]
         del self.propagators[cp.n_propagators:]
         for p, size in zip(self.propagators, cp.sizes):
             p.truncate(size)

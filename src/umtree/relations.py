@@ -14,11 +14,12 @@ each row under the variables whose bound moves can make it narrow:
 `after_min[v]` lists the rows whose lower-bound rule reads lb(v) and
 `after_max[v]` those whose upper-bound rule reads ub(v). A wake applies
 the rows posted since the last wake in full, then, for each changed
-variable, only the rows indexed under the bound that moved. Posting a
-row subscribes the table to its variables that are new to it, and
-restoring an engine checkpoint drops the rows posted since. The three
-kinds stay three classes, each with its own `wake`, because
-`perfbench/tracing.py` times the wakes of each class by name.
+variable, only the rows indexed under the bound that moved; the engine
+hands every event to every table, and a wake skips the variables that
+no row is indexed under. Restoring an engine checkpoint drops the
+rows posted since. The three kinds stay three classes, each with its
+own `wake`, because `perfbench/tracing.py` times the wakes of each
+class by name.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ class _Table(Propagator):
     """The rows of one relation kind on one engine.
 
     `MIN_KEYS` and `MAX_KEYS` slice a row to the variables it is indexed
-    under in `after_min` and `after_max`. Both maps hold a (possibly
-    empty) list for every variable the table watches.
+    under in `after_min` and `after_max`. A list of either map may be
+    empty once `truncate` dropped its rows.
     """
 
     __slots__ = ("rows", "after_min", "after_max", "_applied")
@@ -49,7 +50,7 @@ class _Table(Propagator):
     MIN_KEYS = MAX_KEYS = slice(None)
 
     def __init__(self):
-        super().__init__(())
+        super().__init__()
         self.rows: list[Row] = []
         self.after_min: dict[int, list[Row]] = {}
         self.after_max: dict[int, list[Row]] = {}
@@ -69,18 +70,10 @@ class _Table(Propagator):
         """Add a row and schedule its full wake. No-op on a failed store."""
         if engine.store.failed:
             return self
-        after_min, after_max = self.after_min, self.after_max
-        new = []
-        for v in row:
-            if v not in after_min:
-                after_min[v], after_max[v] = [], []
-                new.append(v)
-        if new:
-            engine.watch(self, new)
         for v in row[self.MIN_KEYS]:
-            after_min[v].append(row)
+            self.after_min.setdefault(v, []).append(row)
         for v in row[self.MAX_KEYS]:
-            after_max[v].append(row)
+            self.after_max.setdefault(v, []).append(row)
         self.rows.append(row)
         engine.schedule(self)
         return self
@@ -104,10 +97,6 @@ class _Table(Propagator):
                 after_min[v].pop()
             for v in row[self.MAX_KEYS]:
                 after_max[v].pop()
-        for row in dropped:  # variables first seen in a dropped row
-            for v in row:
-                if v in after_min and not (after_min[v] or after_max[v]):
-                    del after_min[v], after_max[v]
 
 
 class _Order(_Table):
@@ -130,14 +119,12 @@ class _Order(_Table):
                 tighten_ub(a, ubs[b] - d)
         after_min, after_max = self.after_min, self.after_max
         for v, ev in changed.items():
-            if v is None:
-                continue
-            if ev & _MIN:
+            if ev & _MIN and v in after_min:
                 lo = lbs[v] + d
                 for _, b in after_min[v]:
                     if lbs[b] < lo:
                         tighten_lb(b, lo)
-            if ev & _MAX:
+            if ev & _MAX and v in after_max:
                 hi = ubs[v] - d
                 for a, _ in after_max[v]:
                     if ubs[a] > hi:
@@ -183,15 +170,13 @@ class Equal(_Table):
                     tighten_ub(u, hi)
         after_min, after_max = self.after_min, self.after_max
         for v, ev in changed.items():
-            if v is None:
-                continue
-            if ev & _MIN:
+            if ev & _MIN and v in after_min:
                 lo = lbs[v]
                 for group in after_min[v]:
                     for u in group:
                         if lbs[u] < lo:
                             tighten_lb(u, lo)
-            if ev & _MAX:
+            if ev & _MAX and v in after_max:
                 hi = ubs[v]
                 for group in after_max[v]:
                     for u in group:

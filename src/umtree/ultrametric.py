@@ -124,14 +124,15 @@ class UltrametricMatrix(Propagator):
     u = x. Every other instance reads only u_k and w_k, and the wake
     after whichever of them changed last applies it.
 
-    One wake handles every changed cell. Per pass of up to n cells, rows
-    i and j of each cell are gathered into a (cells, 2, n) block
-    (`MrcaMatrix.row_pairs`), and the three rules run over the whole
-    block with numpy on one snapshot of the bounds, read through
-    zero-copy views of the store. Where several cells narrow the same
-    variable, only the largest lb and the smallest ub go to the store,
-    so each narrowing raises one event, and the narrowed cells' rows are
-    woken in turn.
+    One wake handles every changed cell, that is every changed variable
+    inside `matrix.cell_vars`; the engine hands it the others too. Per
+    pass of up to n cells, rows i and j of each cell are gathered into a
+    (cells, 2, n) block (`MrcaMatrix.row_pairs`), and the three rules run
+    over the whole block with numpy on one snapshot of the bounds, read
+    through zero-copy views of the store. Where several cells narrow the
+    same variable, only the largest lb and the smallest ub go to the
+    store, so each narrowing raises one event, and the narrowed cells'
+    rows are woken in turn.
 
     The initial wake does nothing: cells are constructed at [1, n-1],
     which is already bounds-consistent (all-equal tuples support every
@@ -143,13 +144,14 @@ class UltrametricMatrix(Propagator):
     LEVEL = 1  # woken once the relations are at their fixpoint
 
     def __init__(self, matrix: MrcaMatrix):
-        super().__init__(matrix.cell_vars)
+        super().__init__()
         self.matrix = matrix
 
     def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
         mat = self.matrix
         n = mat.n
-        cells = [v for v in changed if v is not None]
+        lo, hi = mat.cell_vars.start, mat.cell_vars.stop
+        cells = [v for v in changed if v is not None and lo <= v < hi]
         # views into the store's arrays; they must not outlive this call
         lbs = np.frombuffer(store.lbs, dtype=np.int64)
         ubs = np.frombuffer(store.ubs, dtype=np.int64)
@@ -176,7 +178,8 @@ class UltrametricMatrix(Propagator):
 
 
 def post_um_matrix(engine: Engine, matrix: MrcaMatrix) -> UltrametricMatrix:
-    """Register the single matrix propagator watching every cell."""
+    """Register the single matrix propagator. It adds no per-cell state
+    to the engine: each wake picks the cells out of the changed variables."""
     p = UltrametricMatrix(matrix)
     engine.register(p)
     return p

@@ -164,8 +164,8 @@ class UltrametricThree(Propagator):
     """Bounds-consistency propagator for one variable triple, the
     reference for the matrix propagator.
 
-    A wake filters by the union of its events, whichever variables
-    changed.
+    A wake filters by the union of the events of its three variables
+    (and of the key None); the other variables' events leave it idle.
     """
 
     __slots__ = ("x", "y", "z")
@@ -173,11 +173,13 @@ class UltrametricThree(Propagator):
     def __init__(self, x: int, y: int, z: int):
         if len({x, y, z}) != 3:
             raise ValueError("ultrametric triple needs three distinct variables")
-        super().__init__((x, y, z))
+        super().__init__()
         self.x, self.y, self.z = x, y, z
 
     def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
-        um3_wake(store, self.x, self.y, self.z, events)
+        x, y, z = self.x, self.y, self.z
+        own = changed.get(None, 0) | changed.get(x, 0) | changed.get(y, 0) | changed.get(z, 0)
+        um3_wake(store, x, y, z, own)
 
 
 def post_um3(engine: Engine, x: int, y: int, z: int) -> UltrametricThree:
@@ -203,7 +205,7 @@ class DelayedDisjunctionUm3(Propagator):
     __slots__ = ("x", "y", "z")
 
     def __init__(self, x: int, y: int, z: int):
-        super().__init__((x, y, z))
+        super().__init__()
         self.x, self.y, self.z = x, y, z
 
     @staticmethod
@@ -259,14 +261,15 @@ class RowWakeMatrix(Propagator):
     The same closed forms as `UltrametricMatrix`, applied one cell at a
     time over rows i and j with list reads and a Python loop over the
     slots they flag, each cell reading the bounds its predecessors left.
-    Posting it in place of the matrix propagator must reach the same
-    fixpoint.
+    Like `UltrametricMatrix`, a wake keeps only the changed variables
+    inside the matrix's cell block. Posting it in place of the matrix
+    propagator must reach the same fixpoint.
     """
 
     __slots__ = ("matrix", "rows", "row_bounds")
 
     def __init__(self, matrix: MrcaMatrix):
-        super().__init__(matrix.cell_vars)
+        super().__init__()
         self.matrix = matrix
         # rows[i][i] repeats a cell of row i, so a row's min/max sees real cells only
         self.rows = [list(row) for row in matrix.rows]
@@ -275,8 +278,9 @@ class RowWakeMatrix(Propagator):
         self.row_bounds = [itemgetter(*row) for row in self.rows]
 
     def wake(self, store, changed, events):
+        cells = self.matrix.cell_vars
         for var, ev in changed.items():
-            if var is not None:
+            if var is not None and cells.start <= var < cells.stop:
                 self.row_wake(store, var, ev)
                 if store.failed:
                     break
@@ -341,7 +345,7 @@ class ScalarLess(Propagator):
     __slots__ = ("a", "b")
 
     def __init__(self, a, b):
-        super().__init__((a, b))
+        super().__init__()
         self.a, self.b = a, b
 
     def wake(self, store, changed, events):
@@ -356,7 +360,7 @@ class ScalarLessEq(Propagator):
     __slots__ = ("a", "b")
 
     def __init__(self, a, b):
-        super().__init__((a, b))
+        super().__init__()
         self.a, self.b = a, b
 
     def wake(self, store, changed, events):
@@ -371,7 +375,7 @@ class ScalarEqual(Propagator):
     __slots__ = ("vars",)
 
     def __init__(self, *vars_):
-        super().__init__(vars_)
+        super().__init__()
         self.vars = vars_
 
     def wake(self, store, changed, events):

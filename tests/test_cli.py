@@ -274,6 +274,23 @@ def test_constraints_non_integer_bound_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {cons}:2: ")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("bounds a zz 1 3", "unknown species 'zz'"),
+        ("predates a zz b c", "unknown species 'zz'"),
+        ("bounds a a 1 2", "diagonal cell"),
+        ("bounds a b 5 3", "empty range"),  # a usage error, not an incompatible forest
+    ],
+)
+def test_constraints_bad_line_names_its_line(tmp_path, capsys, line, message):
+    f1 = _write(tmp_path, "t.nwk", "((a,b),c);\n")
+    cons = _write(tmp_path, "c.txt", f"# checked before the model is built\n{line}\n")
+    assert main(["build", f1, "--constraints", cons]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cons}:2: ") and message in err
+
+
 def test_build_ranked_trees_applies_ranks(tmp_path, capsys):
     f1 = _write(tmp_path, "t1.nwk", "((a,b)#2,c)#1;\n")
     f2 = _write(tmp_path, "t2.nwk", "((a,b)#3,d)#1;\n")  # conflicting rank for {a,b}

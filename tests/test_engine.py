@@ -138,7 +138,7 @@ class _SelfRewaker(Propagator):
     counts its wakes."""
 
     def __init__(self, v, target):
-        super().__init__((v,))
+        super().__init__()
         self.v, self.target, self.wakes = v, target, 0
 
     def wake(self, store, var, events):
@@ -172,7 +172,7 @@ def test_search_nodes_zero_for_pure_propagation():
 
 
 def test_fixpoint_is_globally_stable():
-    # no um3 propagator, run by hand with full events, can narrow any
+    # no um3 propagator, woken by hand with every variable, can narrow any
     # further, and every row of the < table holds on both bounds
     from umtree.relations import Less
     from umtree.store import Event
@@ -194,7 +194,7 @@ def test_fixpoint_is_globally_stable():
                 for a, b in p.rows:
                     assert s.lb(b) >= s.lb(a) + 1 and s.ub(a) <= s.ub(b) - 1
                 continue
-            p.wake(s, dict.fromkeys(p.watched, Event.MIN | Event.MAX), Event.MIN | Event.MAX)
+            p.wake(s, dict.fromkeys(range(s.num_vars), Event.MIN | Event.MAX), Event.MIN | Event.MAX)
             assert not s.failed
         assert (list(s.lbs), list(s.ubs)) == snapshot
         assert s.take_events() == []
@@ -236,7 +236,7 @@ class _Late(Propagator):
     LEVEL = 1
 
     def __init__(self, engine, v):
-        super().__init__((v,))
+        super().__init__()
         self.engine, self.seen = engine, []
 
     def wake(self, store, changed, events):

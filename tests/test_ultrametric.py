@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from functools import reduce
 from operator import or_
 from types import SimpleNamespace
@@ -307,13 +308,19 @@ def test_matrix_four_species_pair_of_triples():
     assert run(True) == run(False)
 
 
-def test_matrix_propagator_is_single_and_subscriptions_quadratic():
-    s, e, m = _matrix_engine(10)
-    post_um_matrix(e, m)
+def test_matrix_propagator_is_single_and_registers_in_constant_space():
+    # registering adds no per-cell state to the engine: at n=300 the
+    # 44,850 cells would take 350 KB as one list slot each
+    s, e, m = _matrix_engine(300)
+    tracemalloc.start()
+    try:
+        post_um_matrix(e, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
     assert len(e.propagators) == 1
     assert isinstance(e.propagators[0], UltrametricMatrix)
-    total_subs = sum(len(lst) for lst in e._subs)
-    assert total_subs == 10 * 9 // 2  # one subscription per cell, no triple list
 
 
 def test_matrix_wake_narrows_only_its_rows_like_the_triple_wakes():
