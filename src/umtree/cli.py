@@ -49,8 +49,11 @@ EXIT_INTERNAL = 4
 def _read_trees(paths):
     trees = []
     for path in paths:
-        with open(path) as fh:
-            trees.extend(parse_newick_many(fh.read()))
+        try:
+            with open(path) as fh:
+                trees.extend(parse_newick_many(fh.read()))
+        except NewickParseError as e:  # name the file, as the sidecar does
+            raise ValueError(f"{path}: {e}") from None
     return trees
 
 
@@ -110,7 +113,7 @@ def _stats_json(model, build_ms: float, solve_ms: float, result: str, extra: dic
     stats = model.engine.stats
     payload = {
         "n": model.n,
-        "variables": stats.peak_vars,
+        "variables": model.store.num_vars,
         "propagators": stats.peak_propagators,
         "wakes": stats.wakes,
         "search_nodes": stats.search_nodes,

@@ -37,12 +37,12 @@ _INITIAL_EVENTS = Event.MIN | Event.MAX
 
 @dataclass
 class RunStats:
-    """Always-on counters; search_nodes stays 0 for pure propagation."""
+    """Always-on counters; search_nodes stays 0 for pure propagation.
+    The variable count is `Store.num_vars`: a restore frees no variable."""
 
     wakes: int = 0
     search_nodes: int = 0
     failures: int = 0
-    peak_vars: int = 0
     peak_propagators: int = 0
 
 
@@ -129,8 +129,6 @@ class Engine:
         self.schedule(p)
         if len(self.propagators) > self.stats.peak_propagators:
             self.stats.peak_propagators = len(self.propagators)
-        if self.store.num_vars > self.stats.peak_vars:
-            self.stats.peak_vars = self.store.num_vars
 
     # -- propagation ----------------------------------------------------
 
@@ -161,8 +159,6 @@ class Engine:
         store = self.store
         stats = self.stats
         first, later = self._queues
-        if store.num_vars > stats.peak_vars:
-            stats.peak_vars = store.num_vars
         while True:
             self._route_events()
             if store.failed:

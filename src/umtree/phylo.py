@@ -204,9 +204,9 @@ def parse_atom(text: str) -> Atom:
 # -- Newick -----------------------------------------------------------------
 
 
-def parse_newick(text: str) -> PhyloTree:
-    """Parse one Newick tree; branch lengths are accepted and ignored."""
-    pos = 0
+def _read_tree(text: str, pos: int) -> tuple[PhyloTree, int]:
+    """Read the tree at `pos` through its ';'; return it and the position
+    of the next non-space character. Errors give offsets into `text`."""
     size = len(text)
 
     def skip_ws() -> None:
@@ -294,19 +294,25 @@ def parse_newick(text: str) -> PhyloTree:
             break
     expect(";")
     skip_ws()
-    if pos != size:
+    return nd, pos
+
+
+def parse_newick(text: str) -> PhyloTree:
+    """Parse one Newick tree; branch lengths are accepted and ignored."""
+    tree, pos = _read_tree(text, 0)
+    if pos != len(text):
         raise NewickParseError(pos, "trailing characters after ';'")
-    return nd
+    return tree
 
 
 def parse_newick_many(text: str) -> list[PhyloTree]:
-    """Parse a file's worth of semicolon-terminated trees."""
-    trees = []
-    for chunk in text.split(";"):
-        if chunk.strip():
-            trees.append(parse_newick(chunk + ";"))
-    if not trees:
+    """Parse a file's ';'-ended trees in turn; error positions are file offsets."""
+    if not text.strip():
         raise NewickParseError(0, "no trees found")
+    trees, pos = [], 0
+    while pos < len(text):
+        tree, pos = _read_tree(text, pos)
+        trees.append(tree)
     return trees
 
 

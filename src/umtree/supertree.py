@@ -62,14 +62,14 @@ class IncompatibleNestedError(Exception):
 
 @dataclass
 class Forest:
-    """Input trees plus the index over the union of their leaf labels.
-    `labelled[t]` is what validating tree t returns: the node of each of
-    its labels, leaf or taxon, in preorder, so one walk reads each tree."""
+    """Input trees plus the sorted union of their leaf labels (`species`,
+    numbered by the model's `MrcaMatrix.index`). `labelled[t]` is what
+    validating tree t returns: the node of each of its labels, leaf or
+    taxon, in preorder, so one walk reads each tree."""
 
     trees: tuple[PhyloTree, ...]
     labelled: tuple[dict[str, PhyloTree], ...]
     species: tuple[str, ...]
-    index: dict[str, int]
 
     @staticmethod
     def from_trees(trees: Iterable[PhyloTree]) -> "Forest":
@@ -78,8 +78,7 @@ class Forest:
             raise ValueError("empty forest")
         labelled = tuple(map(validate_tree, trees))
         leaves = {lab for nodes in labelled for lab, nd in nodes.items() if not nd.children}
-        species = tuple(sorted(leaves))
-        return Forest(trees, labelled, species, {s: i for i, s in enumerate(species)})
+        return Forest(trees, labelled, tuple(sorted(leaves)))
 
     @property
     def n(self) -> int:
@@ -136,7 +135,9 @@ SideConstraint = Predates | DateBounds | RankAssign
 
 
 class SupertreeModel:
-    """Store, engine and matrix for one forest, plus posted-atom bookkeeping."""
+    """Store, engine and matrix for one forest, plus `atoms`: each
+    deduplicated atom of the breakup, in first-seen order, maps to the
+    indices of its source trees. Nested-taxa rows live in the tables."""
 
     def __init__(self, forest: Forest, mode: str):
         if mode not in ("hard", "soft"):
@@ -146,10 +147,8 @@ class SupertreeModel:
         self.store = Store()
         self.engine = Engine(self.store)
         self.matrix = MrcaMatrix(self.store, forest.species)
-        self.atoms: list[Atom] = []
-        self.atom_sources: dict[Atom, list[int]] = {}
+        self.atoms: dict[Atom, list[int]] = {}
         self.taxa_vars: dict[str, int] = {}
-        self.nested_posts: list[tuple[str, str, tuple[str, str]]] = []
         post_um_matrix(self.engine, self.matrix)
 
     @property
@@ -161,10 +160,7 @@ class SupertreeModel:
         breakup = hard_breakup if self.mode == "hard" else soft_breakup
         for ti, tree in enumerate(self.forest.trees):
             for atom in breakup(tree):
-                if atom not in self.atom_sources:
-                    self.atom_sources[atom] = []
-                    self.atoms.append(atom)
-                self.atom_sources[atom].append(ti)
+                self.atoms.setdefault(atom, []).append(ti)
 
     def post_collected_atoms(self) -> None:
         for atom in self.atoms:
@@ -284,10 +280,10 @@ def necessity(forest: Forest, atom: Atom, mode: str = "hard") -> bool:
     resolutions of its species triple; each is probed in turn on the one
     propagated model, and the atom is necessary exactly when all three fail.
     """
-    for s in atom.species:
-        if s not in forest.index:
-            raise SpeciesNotFoundError(f"unknown species {s!r}")
     model = build_model(forest, mode)
+    for s in atom.species:
+        if s not in model.matrix.index:
+            raise SpeciesNotFoundError(f"unknown species {s!r}")
     if model.engine.propagate() is PropagateResult.FAILURE:
         raise PreconditionError("necessity requires a compatible forest")
     return not any(_propagates(model, [alt]) for alt in _alternatives(atom))
@@ -393,9 +389,8 @@ def explain_conflict(forest: Forest, mode: str = "hard") -> ConflictCore:
         d1 = qx(base + d2, d2, c1)
         return d1 + d2
 
-    core = qx([], [], list(model.atoms))
-    core.sort(key=model.atoms.index)
-    return ConflictCore(tuple(core), probes[0])
+    members = set(qx([], [], list(model.atoms)))
+    return ConflictCore(tuple(a for a in model.atoms if a in members), probes[0])
 
 
 # -- nested taxa -----------------------------------------------------------------
@@ -476,7 +471,6 @@ def apply_nested_taxa(model: SupertreeModel, forest: Forest) -> dict[str, int]:
         for i in range(len(desc)):
             for j in range(i + 1, len(desc)):
                 post_le(model.engine, v, model.cell(desc[i], desc[j]))
-                model.nested_posts.append(("le", label, (desc[i], desc[j])))
         seen_pairs: set[tuple[str, str]] = set()
         for ti, inside in insides:
             outside = leaf_labels(forest.trees[ti]) - inside
@@ -487,7 +481,6 @@ def apply_nested_taxa(model: SupertreeModel, forest: Forest) -> dict[str, int]:
                         continue
                     seen_pairs.add(pair)
                     post_lt(model.engine, model.cell(i, j), v)
-                    model.nested_posts.append(("lt", label, pair))
     return dict(model.taxa_vars)
 
 

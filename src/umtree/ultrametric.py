@@ -36,12 +36,12 @@ class MrcaMatrix:
     The cells are one block of consecutive variables, `cell_vars`,
     numbered row-major over the pairs (i, j), i < j, so
     `pairs[v - cell_vars[0]]` is the index pair of cell variable v.
-    `cell_ids` is the n x n index array of the cell variables; the
+    `cell_ids` is the n x n index array of the cell variables, read by
+    `cell` one slot at a time and by `row_pairs` a row at a time; the
     diagonal slots hold 0, a placeholder that every reader overwrites.
-    `rows[i][k]` is the same table as lists, for scalar lookups.
     """
 
-    __slots__ = ("store", "labels", "n", "index", "cell_vars", "rows", "cell_ids", "pairs")
+    __slots__ = ("store", "labels", "n", "index", "cell_vars", "cell_ids", "pairs")
 
     def __init__(self, store: Store, labels: Sequence[str]):
         labels = tuple(labels)
@@ -56,14 +56,13 @@ class MrcaMatrix:
         i, j = np.triu_indices(n, 1)
         self.cell_ids = np.zeros((n, n), dtype=np.intp)
         self.cell_ids[i, j] = self.cell_ids[j, i] = np.arange(cells.start, cells.stop)
-        self.rows = self.cell_ids.tolist()
         self.pairs = np.stack((i, j), axis=1)
 
     def cell(self, i: int, j: int) -> int:
         """Variable id of the unordered pair {i, j}, i != j."""
         if i == j:
             raise ValueError("diagonal cells are the constant 0, not variables")
-        return self.rows[i][j]
+        return self.cell_ids.item(i, j)
 
     def cell_by_label(self, a: str, b: str) -> int:
         return self.cell(self.index[a], self.index[b])

@@ -263,31 +263,34 @@ class RowWakeMatrix(Propagator):
     slots they flag, each cell reading the bounds its predecessors left.
     Like `UltrametricMatrix`, a wake keeps only the changed variables
     inside the matrix's cell block. Posting it in place of the matrix
-    propagator must reach the same fixpoint.
+    propagator must reach the same fixpoint. Its rows and its cell -> pair
+    map are built from `matrix.cell`, whose numbering
+    `test_matrix_cells_are_one_row_major_block` pins, and not from
+    `pairs`, the inverse the wake reads, so a fault there is not shared.
     """
 
-    __slots__ = ("matrix", "rows", "row_bounds")
+    __slots__ = ("matrix", "rows", "pair_of", "row_bounds")
 
     def __init__(self, matrix: MrcaMatrix):
         super().__init__()
         self.matrix = matrix
+        n = matrix.n
+        self.rows = [[matrix.cell(i, k) if k != i else 0 for k in range(n)] for i in range(n)]
         # rows[i][i] repeats a cell of row i, so a row's min/max sees real cells only
-        self.rows = [list(row) for row in matrix.rows]
         for i, row in enumerate(self.rows):
             row[i] = row[i - 1]
+        self.pair_of = {matrix.cell(i, j): (i, j) for i in range(n) for j in range(i + 1, n)}
         self.row_bounds = [itemgetter(*row) for row in self.rows]
 
     def wake(self, store, changed, events):
-        cells = self.matrix.cell_vars
         for var, ev in changed.items():
-            if var is not None and cells.start <= var < cells.stop:
+            if var in self.pair_of:
                 self.row_wake(store, var, ev)
                 if store.failed:
                     break
 
     def row_wake(self, store, var, events):
-        mat = self.matrix
-        i, j = mat.pairs[var - mat.cell_vars[0]].tolist()
+        i, j = self.pair_of[var]
         row_i, row_j = self.row_bounds[i], self.row_bounds[j]
         ids_u, ids_w = self.rows[i], self.rows[j]
         lbs, ubs = store.lbs, store.ubs
@@ -596,3 +599,17 @@ def taxon_index(trees: list[PhyloTree]) -> dict[str, list[tuple[int, PhyloTree]]
             if not nd.is_leaf and nd.label is not None:
                 out.setdefault(nd.label, []).append((ti, nd))
     return out
+
+
+def nested_rows(model) -> list[tuple[str, str, tuple[str, str]]]:
+    """The rows `apply_nested_taxa` posted, read back from the model's
+    `LessEq` and `Less` tables as (kind, taxon, species pair): every
+    "le" row v <= cell(pair), then every "lt" row cell(pair) < v, each
+    kind in posting order. Cells are named through a cell -> pair map of
+    the sorted species."""
+    pair_of = {model.cell(a, b): (a, b) for a, b in itertools.combinations(model.forest.species, 2)}
+    taxon_of = {v: label for label, v in model.taxa_vars.items()}
+    tables = {type(p).__name__: p for p in model.engine.propagators}
+    le = [("le", taxon_of[v], pair_of[c]) for v, c in tables["LessEq"].rows]
+    lt = [("lt", taxon_of[v], pair_of[c]) for c, v in tables["Less"].rows if v in taxon_of]
+    return le + lt

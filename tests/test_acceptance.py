@@ -46,6 +46,7 @@ from oracles import (
     bcz_box_oracle,
     candidates_with_codes,
     displays_by_codes,
+    nested_rows,
     post_delayed_disjunction_um3,
     post_um3,
     post_um3 as _post_um3,
@@ -310,7 +311,7 @@ def test_criterion_12_space_is_quadratic_with_one_matrix_propagator():
             model = build_model(forest, "hard")
             cp_build(model)
             stats = model.engine.stats
-            assert stats.peak_vars == n * (n - 1) // 2
+            assert model.store.num_vars == n * (n - 1) // 2
             triples = sum(isinstance(a, Triple) for a in model.atoms)
             fans = len(model.atoms) - triples
             # one table per relation kind: a triple is a Less row and an Equal
@@ -376,10 +377,11 @@ def test_criterion_15_nested_taxa_shapes_and_perfect_display():
         pre = nested_preprocess(forest)
         model = build_model(pre, "soft")
         apply_nested_taxa(model, pre)
+        rows = nested_rows(model)
 
-        le_p = {pair for kind, lab, pair in model.nested_posts if kind == "le" and lab == "P"}
+        le_p = {pair for kind, lab, pair in rows if kind == "le" and lab == "P"}
         assert le_p == {("a", "b"), ("a", "g"), ("b", "g")}  # all pairs of the union
-        le_q = {pair for kind, lab, pair in model.nested_posts if kind == "le" and lab == "Q"}
+        le_q = {pair for kind, lab, pair in rows if kind == "le" and lab == "Q"}
         assert le_q == {("d", "e"), ("d", "f"), ("e", "f")}
         # cross-tree pairs present: (a,g) spans T1's and T2's descendant sets
         assert ("a", "g") in le_p

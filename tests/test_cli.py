@@ -45,6 +45,15 @@ def test_build_parse_error_exit_2(tmp_path, capsys):
     assert "position" in err
 
 
+def test_build_parse_error_names_the_file_and_its_offset(tmp_path, capsys):
+    nosemi = _write(tmp_path, "nosemi.nwk", "((a,b),c)")
+    assert main(["build", nosemi]) == 2
+    assert f"{nosemi}: parse error at position 9" in capsys.readouterr().err
+    two = _write(tmp_path, "two.nwk", "((a,b),c);\n((a,b),,c);\n")
+    assert main(["build", two]) == 2
+    assert f"{two}: parse error at position 18" in capsys.readouterr().err
+
+
 def test_build_writes_output_file(tmp_path, capsys):
     f1 = _write(tmp_path, "t.nwk", "((a,b),c);\n")
     out = str(tmp_path / "super.nwk")

@@ -92,6 +92,20 @@ def test_parse_newick_many():
         parse_newick_many("   ")
 
 
+def test_parse_newick_many_reads_trees_from_the_whole_text():
+    # a missing ';' is an error, as it is for parse_newick
+    with pytest.raises(NewickParseError) as exc:
+        parse_newick_many("((a,b),c)")
+    assert exc.value.pos == 9
+    # an error position is an offset into the whole text, not into one tree
+    with pytest.raises(NewickParseError) as exc:
+        parse_newick_many("((a,b),c);\n((a,b),,c);")
+    assert exc.value.pos == 18
+    with pytest.raises(NewickParseError) as exc:
+        parse_newick_many("(d,e);\n((a,b),c)\n")
+    assert exc.value.pos == 17
+
+
 def test_parse_atom():
     assert parse_atom("(b,a)c") == Triple.of("a", "b", "c")
     assert parse_atom("(c,a,b)") == Fan.of("a", "b", "c")
