@@ -1,38 +1,32 @@
 """Event-driven propagation to fixpoint.
 
-Bound mutations raise domain events, which the engine hands to every
-registered propagator, coalesced per propagator, and dispatches until no
-propagator can narrow any domain (fixpoint) or the store fails. The
-engine keeps no subscriptions: a model holds a handful of propagators,
-and each reads an event through its own index of the variables it
-concerns, ignoring the rest. A dequeued propagator is woken once with
-every variable that changed since its last wake. Events generated during
-a wake wait on the store's trail and are routed after the wake returns,
-so a propagator can re-wake itself.
-The queue has two levels: a propagator of the deferred level (the costly
-matrix propagator) is woken only once the first level is empty, so the
-cheap relations reach their own fixpoint first and a matrix wake sees
-every cell they moved at once.
+The store's trail is the only event queue. Every propagator keeps one
+cursor into it, `seen`, the trail position it has read up to, and it is
+due exactly while its cursor is behind the end of the trail. The engine
+wakes due propagators until none is due (fixpoint) or the store fails.
+A woken propagator receives the records it has not read yet, coalesced
+per variable, and its cursor moves to the end of the trail; the records
+its own wake appends make it due again, so a propagator can re-wake
+itself. The engine keeps no subscriptions: a model holds a handful of
+propagators, and each reads an event through its own index of the
+variables it concerns, ignoring the rest.
+Propagators have two levels: one of the deferred level (the costly
+matrix propagator) is woken only once no first-level propagator is due,
+so the cheap relations reach their own fixpoint first and a matrix wake
+sees every cell they moved at once.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from operator import or_
-from typing import Optional
 
-from .store import Checkpoint, Event, Store
+from .store import Checkpoint, Store
 
 
 class PropagateResult(Enum):
     FIXPOINT = 0
     FAILURE = 1
-
-
-_INITIAL_EVENTS = Event.MIN | Event.MAX
 
 
 @dataclass
@@ -50,31 +44,30 @@ class Propagator:
     """Base class: narrows domains when woken by domain events.
 
     Subclasses implement wake(store, changed, events), which returns
-    nothing and may only narrow domains. `changed` maps every variable of
-    the store that changed since the last wake to its coalesced event
+    nothing and may only narrow domains. `changed` maps every variable
+    that changed since the propagator's last wake to its coalesced event
     mask, and `events` is the union of those masks; a propagator skips
-    the variables it does not concern. The key None stands for work
-    scheduled without an event: the initial wake right after
-    registration, or rows posted to a relation table, with event kinds
-    MIN | MAX. The propagator is queued exactly while its pending map,
-    `_pending`, is non-empty.
+    the variables it does not concern.
 
-    `LEVEL` picks the queue level: 0 for cheap propagators, 1 for one
-    that is woken only once no level-0 propagator is queued.
+    `register` does not wake: a propagator starts with its cursor `seen`
+    at the end of the trail, so it never receives the events that came
+    before it. It must therefore be consistent when it is registered, or
+    make itself consistent when it is posted, as a relation table does
+    with each row it takes.
+
+    `LEVEL` picks the level: 0 for cheap propagators, 1 for one that is
+    woken only once no level-0 propagator is due.
 
     A propagator that takes rows after registration reports their number
     through `size()`, and `truncate(size)` drops the rows posted since;
     the engine calls both around a checkpoint.
     """
 
-    __slots__ = ("_pending",)
+    __slots__ = ("seen",)
 
     LEVEL = 0
 
-    def __init__(self):
-        self._pending: dict[Optional[int], int] = {}
-
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
+    def wake(self, store: Store, changed: dict[int, int], events: int) -> None:
         raise NotImplementedError
 
     def size(self) -> int:
@@ -94,90 +87,71 @@ class EngineCheckpoint:
 class Engine:
     """One scheduler per store. Not shared across threads.
 
-    Each dequeue is one wake (and one count in `RunStats.wakes`), however
-    many variables changed. A propagator is queued on the level its
-    class names (`Propagator.LEVEL`), FIFO within a level, and level 1
-    only runs while level 0 is empty. `rng`, when given, dequeues
-    uniformly at random across both levels instead; the fixpoint is the
-    same for monotone propagators (used to test confluence), so ordering
-    is a performance choice only.
+    Each wake is one count in `RunStats.wakes`, however many variables
+    changed. Among the due propagators the engine wakes one of the lowest
+    `LEVEL`, and within a level the one with the smallest cursor, the one
+    that has waited longest. `rng`, when given, draws uniformly among all
+    due propagators of both levels instead; the fixpoint is the same for
+    monotone propagators (used to test confluence), so ordering is a
+    performance choice only.
     """
 
     def __init__(self, store: Store, rng=None) -> None:
         self.store = store
         self.propagators: list[Propagator] = []
         self.stats = RunStats()
-        self._queues: tuple[deque[Propagator], deque[Propagator]] = (deque(), deque())
         self._rng = rng
 
     # -- registration ---------------------------------------------------
 
-    def schedule(self, p: Propagator) -> None:
-        """Queue p for a wake with the event-less key None."""
-        if not p._pending:
-            self._queues[p.LEVEL].append(p)
-        p._pending[None] = _INITIAL_EVENTS
-
     def register(self, p: Propagator) -> None:
-        """Add p to the propagators every event goes to, and schedule it once.
+        """Add p to the propagators every event goes to, without waking it.
 
         No-op on a failed store (propagate will just report the failure).
         """
         if self.store.failed:
             return
+        p.seen = len(self.store.trail)
         self.propagators.append(p)
-        self.schedule(p)
         if len(self.propagators) > self.stats.peak_propagators:
             self.stats.peak_propagators = len(self.propagators)
 
     # -- propagation ----------------------------------------------------
 
-    def _route_events(self) -> None:
-        events = self.store.take_events()
-        if not events:
-            return
-        for q in self.propagators:
-            pend = q._pending
-            if not pend:
-                self._queues[q.LEVEL].append(q)
-            for var, ev, _ in events:
-                pend[var] = pend.get(var, 0) | ev
-
-    def _pop(self) -> Propagator:
-        first, later = self._queues
-        if self._rng is None:
-            return (first or later).popleft()
-        k = self._rng.randrange(len(first) + len(later))
-        queue = first
-        if k >= len(first):
-            queue, k = later, k - len(first)
-        queue.rotate(-k)
-        return queue.popleft()
-
     def propagate(self) -> PropagateResult:
         """Run all pending propagation to fixpoint or failure."""
         store = self.store
+        trail = store.trail
         stats = self.stats
-        first, later = self._queues
-        while True:
-            self._route_events()
-            if store.failed:
-                stats.failures += 1
-                return PropagateResult.FAILURE
-            if not (first or later):
+        rng = self._rng
+        while not store.failed:
+            end = len(trail)
+            due = [p for p in self.propagators if p.seen < end]
+            if not due:
                 return PropagateResult.FIXPOINT
-            p = self._pop()
-            changed = p._pending
-            p._pending = {}
+            if rng is None:
+                p = min(due, key=lambda q: (q.LEVEL, q.seen))
+            else:
+                p = due[rng.randrange(len(due))]
+            changed: dict[int, int] = {}
+            events = 0
+            for var, ev, _ in trail[p.seen:end]:
+                changed[var] = changed.get(var, 0) | ev
+                events |= ev
+            p.seen = end
             stats.wakes += 1
-            p.wake(store, changed, reduce(or_, changed.values()))
+            p.wake(store, changed, events)
+        stats.failures += 1
+        return PropagateResult.FAILURE
 
     # -- checkpoints ------------------------------------------------------
 
     def checkpoint(self) -> EngineCheckpoint:
-        """Snapshot store + scheduler state. Only valid at a fixpoint."""
-        if any(self._queues):
-            raise RuntimeError("checkpoint requires an empty propagation queue")
+        """Snapshot store + scheduler state. Only valid while no
+        propagator is due, so that no unread event is lost on restore."""
+        end = len(self.store.trail)
+        if any(p.seen < end for p in self.propagators):
+            raise RuntimeError("checkpoint requires every propagator to have read the trail")
         return EngineCheckpoint(
             store_cp=self.store.checkpoint(),
             n_propagators=len(self.propagators),
@@ -185,12 +159,11 @@ class Engine:
         )
 
     def restore(self, cp: EngineCheckpoint) -> None:
-        """Undo domains, registrations and rows back to cp."""
-        for queue in self._queues:
-            for q in queue:
-                q._pending.clear()
-            queue.clear()
+        """Undo domains, registrations and rows back to cp. Every cursor
+        returns to the checkpoint's trail length, where `checkpoint` found
+        them all."""
+        self.store.restore(cp.store_cp)
         del self.propagators[cp.n_propagators:]
         for p, size in zip(self.propagators, cp.sizes):
             p.truncate(size)
-        self.store.restore(cp.store_cp)
+            p.seen = cp.store_cp.trail_len

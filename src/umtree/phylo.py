@@ -1,5 +1,5 @@
 """Rooted leaf-labelled trees: Newick I/O, mrca matrices, breakup,
-display tests, isomorphism, and a small-instance enumeration oracle.
+display tests and isomorphism.
 
 Trees are immutable after construction; every internal node has at least
 two children and leaf labels are unique per tree. Internal nodes may

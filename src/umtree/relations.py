@@ -12,19 +12,17 @@ propagator that keeps every atom of that kind as a row: `Less` and
 rows are groups of 2 or 3 variables that must be equal. A table indexes
 each row under the variables whose bound moves can make it narrow:
 `after_min[v]` lists the rows whose lower-bound rule reads lb(v) and
-`after_max[v]` those whose upper-bound rule reads ub(v). A wake applies
-the rows posted since the last wake in full, then, for each changed
-variable, only the rows indexed under the bound that moved; the engine
-hands every event to every table, and a wake skips the variables that
-no row is indexed under. Restoring an engine checkpoint drops the
-rows posted since. The three kinds stay three classes, each with its
+`after_max[v]` those whose upper-bound rule reads ub(v). `post` applies
+a row in full to the current bounds; from then on a wake applies, for
+each changed variable, only the rows indexed under the bound that moved.
+Every table reads every event, and a wake skips the variables that no
+row is indexed under. Restoring an engine checkpoint drops the rows
+posted since. The three kinds stay three classes, each with its
 own `wake`, because `perfbench/tracing.py` times the wakes of each
 class by name.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .engine import Engine, Propagator
 from .store import Event, Store
@@ -42,19 +40,18 @@ class _Table(Propagator):
 
     `MIN_KEYS` and `MAX_KEYS` slice a row to the variables it is indexed
     under in `after_min` and `after_max`. A list of either map may be
-    empty once `truncate` dropped its rows.
+    empty once `truncate` dropped its rows. Each kind's `_apply_row` is
+    the row's closed form, applied once when the row is posted.
     """
 
-    __slots__ = ("rows", "after_min", "after_max", "_applied")
+    __slots__ = ("rows", "after_min", "after_max")
 
     MIN_KEYS = MAX_KEYS = slice(None)
 
     def __init__(self):
-        super().__init__()
         self.rows: list[Row] = []
         self.after_min: dict[int, list[Row]] = {}
         self.after_max: dict[int, list[Row]] = {}
-        self._applied = 0  # rows[:_applied] have had their full wake
 
     @classmethod
     def of(cls, engine: Engine):
@@ -67,22 +64,18 @@ class _Table(Propagator):
         return table
 
     def post(self, engine: Engine, row: Row):
-        """Add a row and schedule its full wake. No-op on a failed store."""
-        if engine.store.failed:
+        """Add a row and apply it to the current bounds. No-op on a
+        failed store."""
+        store = engine.store
+        if store.failed:
             return self
         for v in row[self.MIN_KEYS]:
             self.after_min.setdefault(v, []).append(row)
         for v in row[self.MAX_KEYS]:
             self.after_max.setdefault(v, []).append(row)
         self.rows.append(row)
-        engine.schedule(self)
+        self._apply_row(store, row)
         return self
-
-    def _fresh_rows(self) -> list[Row]:
-        """The rows posted since the last wake, which it applies in full."""
-        fresh = self.rows[self._applied:]
-        self._applied = len(self.rows)
-        return fresh
 
     def size(self) -> int:
         return len(self.rows)
@@ -91,7 +84,6 @@ class _Table(Propagator):
         rows, after_min, after_max = self.rows, self.after_min, self.after_max
         dropped = rows[size:]
         del rows[size:]
-        self._applied = min(self._applied, size)
         for row in reversed(dropped):  # each row sits at the tail of its lists
             for v in row[self.MIN_KEYS]:
                 after_min[v].pop()
@@ -108,15 +100,19 @@ class _Order(_Table):
     MIN_KEYS, MAX_KEYS = slice(0, 1), slice(1, 2)
     OFFSET = 0
 
-    def _apply(self, store: Store, changed: dict[Optional[int], int]) -> None:
+    def _apply_row(self, store: Store, row: Row) -> None:
+        a, b = row
+        d = self.OFFSET
+        lbs, ubs = store.lbs, store.ubs
+        if lbs[b] < lbs[a] + d:
+            store.tighten_lb(b, lbs[a] + d)
+        if ubs[a] > ubs[b] - d:
+            store.tighten_ub(a, ubs[b] - d)
+
+    def _apply_events(self, store: Store, changed: dict[int, int]) -> None:
         d = self.OFFSET
         lbs, ubs = store.lbs, store.ubs
         tighten_lb, tighten_ub = store.tighten_lb, store.tighten_ub
-        for a, b in self._fresh_rows():
-            if lbs[b] < lbs[a] + d:
-                tighten_lb(b, lbs[a] + d)
-            if ubs[a] > ubs[b] - d:
-                tighten_ub(a, ubs[b] - d)
         after_min, after_max = self.after_min, self.after_max
         for v, ev in changed.items():
             if ev & _MIN and v in after_min:
@@ -138,8 +134,8 @@ class Less(_Order):
 
     OFFSET = 1
 
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
-        self._apply(store, changed)
+    def wake(self, store: Store, changed: dict[int, int], events: int) -> None:
+        self._apply_events(store, changed)
 
 
 class LessEq(_Order):
@@ -147,8 +143,8 @@ class LessEq(_Order):
 
     __slots__ = ()
 
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
-        self._apply(store, changed)
+    def wake(self, store: Store, changed: dict[int, int], events: int) -> None:
+        self._apply_events(store, changed)
 
 
 class Equal(_Table):
@@ -157,17 +153,19 @@ class Equal(_Table):
 
     __slots__ = ()
 
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
+    def _apply_row(self, store: Store, group: Row) -> None:
+        lbs, ubs = store.lbs, store.ubs
+        lo = max(map(lbs.__getitem__, group))
+        hi = min(map(ubs.__getitem__, group))
+        for u in group:
+            if lbs[u] < lo:
+                store.tighten_lb(u, lo)
+            if ubs[u] > hi:
+                store.tighten_ub(u, hi)
+
+    def wake(self, store: Store, changed: dict[int, int], events: int) -> None:
         lbs, ubs = store.lbs, store.ubs
         tighten_lb, tighten_ub = store.tighten_lb, store.tighten_ub
-        for group in self._fresh_rows():
-            lo = max(map(lbs.__getitem__, group))
-            hi = min(map(ubs.__getitem__, group))
-            for u in group:
-                if lbs[u] < lo:
-                    tighten_lb(u, lo)
-                if ubs[u] > hi:
-                    tighten_ub(u, hi)
         after_min, after_max = self.after_min, self.after_max
         for v, ev in changed.items():
             if ev & _MIN and v in after_min:

@@ -4,10 +4,11 @@ A Store owns a flat pool of variables whose domains are integer intervals
 [lb, ub]. Mutations only narrow (raise lb / lower ub) and report which
 domain events they caused. A mutation that would cross the opposite bound
 marks the whole store failed instead of emptying the domain; once failed,
-no further events are emitted. Each narrowing appends one trail record,
-which is both its undo record and its event. Checkpoint/restore follows
-strict stack discipline, so restore cost is proportional to the number
-of mutations being undone.
+no further events are emitted. Each narrowing appends one record to the
+public `trail`, which is both its undo record and its event: the engine
+reads the trail directly, through one cursor per propagator.
+Checkpoint/restore follows strict stack discipline, so restore cost is
+proportional to the number of mutations being undone.
 """
 
 from __future__ import annotations
@@ -60,18 +61,19 @@ class Store:
     propagator can read them through `np.frombuffer` without a copy; such
     a view must not outlive the wake, because an array with a live view
     cannot grow in `new_vars`. Every narrowing appends one record
-    (var, Event.MIN or Event.MAX, old value) to the trail: restore undoes
-    it, and `take_events` hands it to the propagation engine once.
+    (var, Event.MIN or Event.MAX, old value) to `trail`: restore undoes
+    it, and each propagator of the engine reads it once. The trail is
+    one list for the life of the store; only the store appends to it or
+    cuts it.
     """
 
-    __slots__ = ("lbs", "ubs", "failed", "_trail", "_taken", "_cps")
+    __slots__ = ("lbs", "ubs", "failed", "trail", "_cps")
 
     def __init__(self) -> None:
         self.lbs = array("q")
         self.ubs = array("q")
         self.failed = False
-        self._trail: list[tuple[int, int, int]] = []  # (var, event, old value)
-        self._taken = 0  # trail records already handed out by take_events
+        self.trail: list[tuple[int, int, int]] = []  # (var, event, old value)
         self._cps: list[Checkpoint] = []
 
     # -- variables ----------------------------------------------------
@@ -118,7 +120,7 @@ class Store:
         if val > self.ubs[v]:
             self.failed = True
             return _NONE
-        self._trail.append((v, _MIN, old))
+        self.trail.append((v, _MIN, old))
         lbs[v] = val
         return _MIN
 
@@ -133,7 +135,7 @@ class Store:
         if val < self.lbs[v]:
             self.failed = True
             return _NONE
-        self._trail.append((v, _MAX, old))
+        self.trail.append((v, _MAX, old))
         ubs[v] = val
         return _MAX
 
@@ -141,32 +143,26 @@ class Store:
         """Fix v to val; equivalent to tighten_lb then tighten_ub."""
         return self.tighten_lb(v, val) | self.tighten_ub(v, val)
 
-    def take_events(self) -> list[tuple[int, int, int]]:
-        """The trail records (var, event, old value) added since the last call."""
-        start = self._taken
-        self._taken = len(self._trail)
-        return self._trail[start:]
-
     # -- checkpoints ----------------------------------------------------
 
     def checkpoint(self) -> Checkpoint:
-        cp = Checkpoint(len(self._cps), len(self._trail), self.failed)
+        cp = Checkpoint(len(self._cps), len(self.trail), self.failed)
         self._cps.append(cp)
         return cp
 
     def restore(self, cp: Checkpoint) -> None:
         """Revert all domains and the failed flag to checkpoint state.
 
-        Pops cp and everything above it (stack discipline). Events raised
-        after the checkpoint are forgotten, and none is handed out twice.
+        Pops cp and everything above it (stack discipline). The trail is
+        cut back to `cp.trail_len`, so the events raised after the
+        checkpoint are forgotten.
         """
         if cp.depth >= len(self._cps) or self._cps[cp.depth] is not cp:
             raise StaleCheckpointError("checkpoint was already popped or belongs to another store")
-        trail = self._trail
+        trail = self.trail
         lbs, ubs = self.lbs, self.ubs
         for v, ev, old in reversed(trail[cp.trail_len:]):
             (lbs if ev == _MIN else ubs)[v] = old
         del trail[cp.trail_len:]
-        self._taken = min(self._taken, cp.trail_len)
         del self._cps[cp.depth:]
         self.failed = cp.failed

@@ -182,7 +182,8 @@ def build_model(
     sides: Sequence[SideConstraint] = (),
     post_atoms: bool = True,
 ) -> SupertreeModel:
-    """Create the constraint model for a forest; no propagation happens yet."""
+    """Create the constraint model for a forest. Posting applies each
+    row once; propagation to the fixpoint waits for `propagate`."""
     model = SupertreeModel(forest, mode)
     model.collect_atoms()
     if post_atoms:
@@ -454,8 +455,9 @@ def taxa_descendants(forest: Forest) -> dict[str, frozenset[str]]:
     }
 
 
-def apply_nested_taxa(model: SupertreeModel, forest: Forest) -> dict[str, int]:
-    """One depth variable per enclosing taxon, plus its side constraints.
+def apply_nested_taxa(model: SupertreeModel, forest: Forest) -> None:
+    """One depth variable per enclosing taxon, kept in `model.taxa_vars`,
+    plus its side constraints.
 
     The taxon must sit at least as shallow as the mrca of any two of its
     descendants (pairs taken across the whole forest), and strictly
@@ -481,7 +483,6 @@ def apply_nested_taxa(model: SupertreeModel, forest: Forest) -> dict[str, int]:
                         continue
                     seen_pairs.add(pair)
                     post_lt(model.engine, model.cell(i, j), v)
-    return dict(model.taxa_vars)
 
 
 def attach_labels(

@@ -16,7 +16,7 @@ relation. Upper bounds enjoy no such property.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -133,7 +133,7 @@ class UltrametricMatrix(Propagator):
     store, so each narrowing raises one event, and the narrowed cells'
     rows are woken in turn.
 
-    The initial wake does nothing: cells are constructed at [1, n-1],
+    Registering it needs no wake: cells are constructed at [1, n-1],
     which is already bounds-consistent (all-equal tuples support every
     bound).
     """
@@ -143,14 +143,13 @@ class UltrametricMatrix(Propagator):
     LEVEL = 1  # woken once the relations are at their fixpoint
 
     def __init__(self, matrix: MrcaMatrix):
-        super().__init__()
         self.matrix = matrix
 
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
+    def wake(self, store: Store, changed: dict[int, int], events: int) -> None:
         mat = self.matrix
         n = mat.n
         lo, hi = mat.cell_vars.start, mat.cell_vars.stop
-        cells = [v for v in changed if v is not None and lo <= v < hi]
+        cells = [v for v in changed if lo <= v < hi]
         # views into the store's arrays; they must not outlive this call
         lbs = np.frombuffer(store.lbs, dtype=np.int64)
         ubs = np.frombuffer(store.ubs, dtype=np.int64)

@@ -22,7 +22,7 @@ import itertools
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter, ne
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from umtree import (
     Engine,
@@ -96,6 +96,17 @@ def all_boxes(max_value: int) -> list[Box]:
     return [(lo, hi) for lo in range(max_value + 1) for hi in range(lo, max_value + 1)]
 
 
+def post_woken(engine: Engine, p: Propagator, vars_: Iterable[int]) -> Propagator:
+    """Register p and wake it once on its variables. `register` does not
+    wake, so a per-atom propagator makes itself consistent when it is
+    posted, as a relation table does with each row."""
+    engine.register(p)
+    if not engine.store.failed:
+        both = Event.MIN | Event.MAX
+        p.wake(engine.store, dict.fromkeys(vars_, both), both)
+    return p
+
+
 # -- per-triple reference of the matrix propagator --------------------------------
 
 
@@ -164,8 +175,8 @@ class UltrametricThree(Propagator):
     """Bounds-consistency propagator for one variable triple, the
     reference for the matrix propagator.
 
-    A wake filters by the union of the events of its three variables
-    (and of the key None); the other variables' events leave it idle.
+    A wake filters by the union of the events of its three variables;
+    the other variables' events leave it idle.
     """
 
     __slots__ = ("x", "y", "z")
@@ -176,16 +187,14 @@ class UltrametricThree(Propagator):
         super().__init__()
         self.x, self.y, self.z = x, y, z
 
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
+    def wake(self, store: Store, changed: dict[int, int], events: int) -> None:
         x, y, z = self.x, self.y, self.z
-        own = changed.get(None, 0) | changed.get(x, 0) | changed.get(y, 0) | changed.get(z, 0)
+        own = changed.get(x, 0) | changed.get(y, 0) | changed.get(z, 0)
         um3_wake(store, x, y, z, own)
 
 
 def post_um3(engine: Engine, x: int, y: int, z: int) -> UltrametricThree:
-    p = UltrametricThree(x, y, z)
-    engine.register(p)
-    return p
+    return post_woken(engine, UltrametricThree(x, y, z), (x, y, z))
 
 
 # -- weak disjunctive encoding ------------------------------------------------------
@@ -215,7 +224,7 @@ class DelayedDisjunctionUm3(Propagator):
         hi = min(store.ubs[u], store.ubs[v])
         return lo <= hi and store.ubs[top] >= lo + 1
 
-    def wake(self, store: Store, changed: dict[Optional[int], int], events: int) -> None:
+    def wake(self, store: Store, changed: dict[int, int], events: int) -> None:
         x, y, z = self.x, self.y, self.z
         lbs, ubs = store.lbs, store.ubs
         feas = [
@@ -247,9 +256,7 @@ class DelayedDisjunctionUm3(Propagator):
 
 
 def post_delayed_disjunction_um3(engine: Engine, x: int, y: int, z: int) -> DelayedDisjunctionUm3:
-    p = DelayedDisjunctionUm3(x, y, z)
-    engine.register(p)
-    return p
+    return post_woken(engine, DelayedDisjunctionUm3(x, y, z), (x, y, z))
 
 
 # -- reference matrix propagator -----------------------------------------------
@@ -391,11 +398,11 @@ class ScalarEqual(Propagator):
 
 
 def post_scalar_lt(engine, a, b):
-    engine.register(ScalarLess(a, b))
+    post_woken(engine, ScalarLess(a, b), (a, b))
 
 
 def post_scalar_le(engine, a, b):
-    engine.register(ScalarLessEq(a, b))
+    post_woken(engine, ScalarLessEq(a, b), (a, b))
 
 
 def post_scalar_atom(engine, matrix, atom):
@@ -403,10 +410,12 @@ def post_scalar_atom(engine, matrix, atom):
     a fan as its three cells equal."""
     cell = matrix.cell_by_label
     if isinstance(atom, Triple):
-        engine.register(ScalarLess(cell(atom.x, atom.z), cell(atom.x, atom.y)))
-        engine.register(ScalarEqual(cell(atom.x, atom.z), cell(atom.y, atom.z)))
+        xz, xy, yz = cell(atom.x, atom.z), cell(atom.x, atom.y), cell(atom.y, atom.z)
+        post_woken(engine, ScalarLess(xz, xy), (xz, xy))
+        post_woken(engine, ScalarEqual(xz, yz), (xz, yz))
     else:
-        engine.register(ScalarEqual(cell(atom.x, atom.y), cell(atom.x, atom.z), cell(atom.y, atom.z)))
+        xy, xz, yz = cell(atom.x, atom.y), cell(atom.x, atom.z), cell(atom.y, atom.z)
+        post_woken(engine, ScalarEqual(xy, xz, yz), (xy, xz, yz))
 
 
 # -- test forest helpers -------------------------------------------------------------

@@ -4,14 +4,28 @@ import pytest
 
 from umtree import (
     Engine,
+    Forest,
+    MrcaMatrix,
     PropagateResult,
     Store,
+    hard_breakup,
+    post_atom,
     post_eq2,
     post_lt,
+    post_um_matrix,
+    random_forest,
+    soft_breakup,
 )
 from umtree.engine import Propagator
+from umtree.store import Event
 
 from oracles import ScalarLess, post_um3
+
+
+def _due_first_level(engine):
+    """How many level-0 propagators have trail records left to read."""
+    end = len(engine.store.trail)
+    return sum(p.LEVEL == 0 and p.seen < end for p in engine.propagators)
 
 
 def test_register_eq_initial_propagation():
@@ -152,10 +166,13 @@ def test_wake_effects_are_redispatched_including_self():
     e = Engine(s)
     v = s.new_var(0, 10)
     p = _SelfRewaker(v, 7)
-    e.register(p)
+    e.register(p)  # not woken: registering adds no trail record
+    assert e.propagate() is PropagateResult.FIXPOINT
+    assert p.wakes == 0
+    s.tighten_lb(v, 1)
     assert e.propagate() is PropagateResult.FIXPOINT
     assert s.domain(v) == (7, 10)
-    assert p.wakes >= 7
+    assert p.wakes == 7  # at lb 1, ..., 6 it raises the bound; at 7 it stops
 
 
 def test_search_nodes_zero_for_pure_propagation():
@@ -174,7 +191,6 @@ def test_fixpoint_is_globally_stable():
     # no um3 propagator, woken by hand with every variable, can narrow any
     # further, and every row of the < table holds on both bounds
     from umtree.relations import Less
-    from umtree.store import Event
 
     for seed in range(40):
         rng = random.Random(seed)
@@ -196,7 +212,7 @@ def test_fixpoint_is_globally_stable():
             p.wake(s, dict.fromkeys(range(s.num_vars), Event.MIN | Event.MAX), Event.MIN | Event.MAX)
             assert not s.failed
         assert (list(s.lbs), list(s.ubs)) == snapshot
-        assert s.take_events() == []
+        assert all(p.seen == len(s.trail) for p in e.propagators)
 
 
 def test_engine_checkpoint_requires_fixpoint():
@@ -205,7 +221,81 @@ def test_engine_checkpoint_requires_fixpoint():
     x, y = s.new_var(1, 4), s.new_var(2, 6)
     post_eq2(e, x, y)
     with pytest.raises(RuntimeError):
-        e.checkpoint()  # initial wake still queued
+        e.checkpoint()  # the row narrowed x and y when posted; no propagator has read that yet
+
+
+def test_checkpoint_refuses_an_unread_tighten_from_outside():
+    s = Store()
+    e = Engine(s)
+    x, y = s.new_var(1, 9), s.new_var(1, 9)
+    post_lt(e, x, y)
+    assert e.propagate() is PropagateResult.FIXPOINT
+    s.tighten_lb(x, 4)  # made outside propagate, read by no propagator yet
+    with pytest.raises(RuntimeError):
+        e.checkpoint()
+    assert e.propagate() is PropagateResult.FIXPOINT
+    assert s.domain(y) == (5, 9)
+    e.checkpoint()
+
+
+class _Recorder(Propagator):
+    """Records every trail record it receives, as (var, event) pairs."""
+
+    def __init__(self):
+        self.received = []
+
+    def wake(self, store, changed, events):
+        self.received.extend(changed.items())
+
+
+def test_registered_propagator_never_receives_earlier_records():
+    s = Store()
+    e = Engine(s)
+    x, y = s.new_var(1, 9), s.new_var(1, 9)
+    s.tighten_lb(x, 3)
+    p = _Recorder()
+    e.register(p)
+    assert e.propagate() is PropagateResult.FIXPOINT
+    assert p.received == []
+    s.tighten_ub(y, 7)
+    assert e.propagate() is PropagateResult.FIXPOINT
+    assert p.received == [(y, Event.MAX)]
+
+
+def test_restore_delivers_no_undone_record_and_new_ones_once():
+    s = Store()
+    e = Engine(s)
+    v, w = s.new_var(1, 9), s.new_var(1, 9)
+    p = _Recorder()
+    e.register(p)
+    s.tighten_lb(v, 2)
+    assert e.propagate() is PropagateResult.FIXPOINT
+    assert p.received == [(v, Event.MIN)]
+    cp = e.checkpoint()
+    s.tighten_ub(w, 8)  # undone before any propagator reads it
+    e.restore(cp)
+    assert e.propagate() is PropagateResult.FIXPOINT
+    assert p.received == [(v, Event.MIN)]  # neither the record read before cp nor the undone one
+    s.tighten_ub(w, 7)
+    assert e.propagate() is PropagateResult.FIXPOINT
+    assert e.propagate() is PropagateResult.FIXPOINT  # delivers nothing twice
+    assert p.received == [(v, Event.MIN), (w, Event.MAX)]
+
+
+def test_restore_rewinds_cursors_past_records_read_after_the_checkpoint():
+    s = Store()
+    e = Engine(s)
+    v = s.new_var(1, 9)
+    p = _Recorder()
+    e.register(p)
+    cp = e.checkpoint()
+    s.assign(v, 4)
+    assert e.propagate() is PropagateResult.FIXPOINT
+    e.restore(cp)
+    assert p.seen == len(s.trail) == 0
+    s.tighten_ub(v, 6)  # lands on the trail positions the undone records held
+    assert e.propagate() is PropagateResult.FIXPOINT
+    assert p.received == [(v, Event.MIN | Event.MAX), (v, Event.MAX)]
 
 
 def test_engine_restore_unregisters():
@@ -230,24 +320,23 @@ def test_engine_restore_unregisters():
 
 class _Late(Propagator):
     """A deferred propagator that records how many level-0 propagators
-    were queued at each of its wakes."""
+    were due at each of its wakes."""
 
     LEVEL = 1
 
-    def __init__(self, engine, v):
-        super().__init__()
-        self.engine, self.seen = engine, []
+    def __init__(self, engine):
+        self.engine, self.due = engine, []
 
     def wake(self, store, changed, events):
-        self.seen.append(len(self.engine._queues[0]))
+        self.due.append(_due_first_level(self.engine))
 
 
 def _late_chain(rng=None):
     s = Store()
     e = Engine(s, rng=rng)
     x, y, z = s.new_var(1, 9), s.new_var(1, 9), s.new_var(1, 9)
-    late = _Late(e, z)
-    e.register(late)  # queued first, but on the deferred level
+    late = _Late(e)
+    e.register(late)  # registered first, but on the deferred level
     post_lt(e, x, y)
     post_lt(e, y, z)
     assert e.propagate() is PropagateResult.FIXPOINT
@@ -256,28 +345,53 @@ def _late_chain(rng=None):
 
 
 def test_deferred_level_waits_for_the_first_level():
-    # FIFO alone would wake it before the relations and again after z moved
-    assert _late_chain().seen == [0]
+    # the oldest cursor alone would wake it before the relations and again after z moved
+    assert _late_chain().due == [0]
 
 
 def test_random_order_draws_from_both_levels():
-    seen = [_late_chain(random.Random(seed)).seen for seed in range(20)]
-    assert any(s[0] > 0 for s in seen)
+    due = [_late_chain(random.Random(seed)).due for seed in range(20)]
+    assert any(d[0] > 0 for d in due)
 
 
 def test_matrix_wakes_once_the_relations_are_at_their_fixpoint(monkeypatch):
-    from umtree import Forest, build_model, random_forest
+    from umtree import build_model
     from umtree.ultrametric import UltrametricMatrix
 
-    queued = []
+    due = []
     wake = UltrametricMatrix.wake
 
     def recording_wake(self, store, changed, events):
-        queued.append(len(engine._queues[0]))
+        due.append(_due_first_level(engine))
         return wake(self, store, changed, events)
 
     monkeypatch.setattr(UltrametricMatrix, "wake", recording_wake)
     model = build_model(Forest.from_trees(random_forest(30, 3, 0.25, random.Random(3))), "hard")
     engine = model.engine
     assert engine.propagate() is PropagateResult.FIXPOINT
-    assert len(queued) > 1 and not any(queued)
+    assert len(due) > 1 and not any(due)
+
+
+def _ladder_fixpoint(n, mode, rng):
+    forest = Forest.from_trees(random_forest(n, 3, 0.25, random.Random(0)))
+    s = Store()
+    e = Engine(s, rng=rng)
+    m = MrcaMatrix(s, forest.species)
+    post_um_matrix(e, m)
+    breakup = hard_breakup if mode == "hard" else soft_breakup
+    for t in forest.trees:
+        for a in breakup(t):
+            post_atom(e, m, a)
+    res = e.propagate()
+    return res, (bytes(s.lbs), bytes(s.ubs)) if res is PropagateResult.FIXPOINT else None
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+@pytest.mark.parametrize("n", [100, 200])
+def test_confluence_at_ladder_sizes(n, mode):
+    # the benchmark's forest shape: the default order and two random
+    # orders reach byte-equal bounds
+    want = _ladder_fixpoint(n, mode, None)
+    assert want[0] is PropagateResult.FIXPOINT
+    for qseed in (1, 2):
+        assert _ladder_fixpoint(n, mode, random.Random(qseed)) == want

@@ -1,6 +1,7 @@
 import pytest
 
 from umtree import (
+    Event,
     Forest,
     IncompatibleNestedError,
     NestedContradictionError,
@@ -142,11 +143,18 @@ def test_preprocess_substitutes_deep_inside_a_tree():
 def test_taxa_vars_have_full_domains():
     f = _fig20_forest()
     model = build_model(f, "soft")
-    taxa = apply_nested_taxa(model, f)
+    apply_nested_taxa(model, f)
     n = f.n
-    assert set(taxa) == {"P", "Q"}
-    for v in taxa.values():
-        assert model.store.domain(v) == (1, n - 1)
+    assert set(model.taxa_vars) == {"P", "Q"}
+    # rows narrow a taxon variable as soon as they are posted, so its
+    # created domain is the old value of its first record of each kind
+    trail = model.store.trail
+    for v in model.taxa_vars.values():
+        created = [
+            next((old for u, ev, old in trail if u == v and ev == kind), bound)
+            for kind, bound in ((Event.MIN, model.store.lb(v)), (Event.MAX, model.store.ub(v)))
+        ]
+        assert created == [1, n - 1]
 
 
 # -- attachment and verification ------------------------------------------------------

@@ -231,7 +231,7 @@ def _outcome(model):
 
 @pytest.mark.parametrize("seed", range(24))
 def test_tables_reach_the_per_atom_fixpoint(monkeypatch, seed):
-    # byte-equal bounds or the same failure, FIFO and two random orders
+    # byte-equal bounds or the same failure, the default and two random orders
     forest, mode, sides = _model_instance(seed)
     reference = _posted_model(monkeypatch, forest, mode, sides, None, scalar=True)
     rows = len(reference.engine.propagators) - 1  # one per posted row, and the matrix

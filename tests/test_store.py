@@ -70,7 +70,7 @@ def test_tighten_noop_keeps_silent():
     v = s.new_var(2, 5)
     assert s.tighten_lb(v, 2) == Event.NONE
     assert s.tighten_ub(v, 7) == Event.NONE
-    assert s.take_events() == []
+    assert s.trail == []
 
 
 def test_assign_examples():
@@ -89,12 +89,11 @@ def test_assign_examples():
 def test_no_events_after_failure():
     s = Store()
     v = s.new_var(1, 4)
-    s.take_events()
     s.tighten_lb(v, 9)
     assert s.failed
     assert s.tighten_ub(v, 2) == Event.NONE
     assert s.tighten_lb(v, 3) == Event.NONE
-    assert s.take_events() == []
+    assert s.trail == []
     assert s.domain(v) == (1, 4)  # last valid values kept
 
 
@@ -138,60 +137,49 @@ def test_events_forgotten_after_restore():
     cp = s.checkpoint()
     s.tighten_lb(v, 5)
     s.restore(cp)
-    assert s.take_events() == []
-
-
-def test_take_events_hands_out_each_trail_record_once():
-    s = Store()
-    v, w = s.new_var(1, 9), s.new_var(1, 9)
-    s.tighten_lb(v, 2)
-    assert s.take_events() == [(v, Event.MIN, 1)]
-    cp = s.checkpoint()
-    s.tighten_ub(w, 8)
-    s.restore(cp)
-    assert s.take_events() == []  # neither the record taken before cp nor the undone one
-    s.tighten_ub(w, 7)
-    assert s.take_events() == [(w, Event.MAX, 9)]
-    assert s.take_events() == []
+    assert s.trail == []
 
 
 def test_restore_keeps_records_not_yet_taken():
+    # the records made before the checkpoint stay on the trail for the
+    # engine's propagators to read
     s = Store()
     v = s.new_var(1, 9)
     s.tighten_lb(v, 2)
     cp = s.checkpoint()
     s.tighten_lb(v, 3)
     s.restore(cp)
-    assert s.take_events() == [(v, Event.MIN, 1)]
+    assert s.trail == [(v, Event.MIN, 1)]
 
 
 def test_restore_after_records_taken_past_checkpoint():
+    # a record made after the restore takes the trail position of the
+    # undone one
     s = Store()
     v = s.new_var(1, 9)
     cp = s.checkpoint()
     s.tighten_lb(v, 4)
-    assert s.take_events() == [(v, Event.MIN, 1)]
+    assert s.trail[cp.trail_len:] == [(v, Event.MIN, 1)]
     s.restore(cp)
     s.tighten_ub(v, 6)
-    assert s.take_events() == [(v, Event.MAX, 9)]
+    assert s.trail[cp.trail_len:] == [(v, Event.MAX, 9)]
 
 
 def test_assign_records_min_then_max():
     s = Store()
     v = s.new_var(1, 9)
     assert s.assign(v, 5) == Event.MIN | Event.MAX
-    assert s.take_events() == [(v, Event.MIN, 1), (v, Event.MAX, 9)]
+    assert s.trail == [(v, Event.MIN, 1), (v, Event.MAX, 9)]
 
 
 def test_tighten_on_failed_store_adds_no_record():
     s = Store()
     v, w = s.new_var(1, 4), s.new_var(1, 4)
-    s.take_events()
     s.tighten_lb(v, 5)
     assert s.failed
     s.tighten_lb(w, 2)
     s.tighten_ub(w, 3)
-    assert s.take_events() == []
+    assert s.trail == []
     assert s.domain(w) == (1, 4)
 
 
@@ -228,13 +216,13 @@ def test_event_soundness_random():
     for _ in range(300):
         s = Store()
         v = s.new_var(rng.randint(0, 5), rng.randint(5, 10))
-        s.take_events()
         lo, hi = s.domain(v)
         val = rng.randint(-2, 12)
         ev = s.tighten_lb(v, val) if rng.random() < 0.5 else s.tighten_ub(v, val)
         nlo, nhi = s.domain(v)
         assert bool(ev & Event.MIN) == (nlo > lo)
         assert bool(ev & Event.MAX) == (nhi < hi)
+        assert s.trail == ([(v, ev, lo if ev == Event.MIN else hi)] if ev else [])
 
 
 def test_restore_exactness_random():

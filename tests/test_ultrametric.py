@@ -370,7 +370,6 @@ def test_matrix_wake_narrows_only_its_rows_like_the_triple_wakes():
             ev = s.tighten_lb(x, rng.randint(lo + 1, hi))
         else:
             ev = s.tighten_ub(x, rng.randint(lo, hi - 1))
-        s.take_events()
         before = (list(s.lbs), list(s.ubs))
         cp = s.checkpoint()
 
@@ -464,7 +463,7 @@ def _sided_fixpoint(labels, atoms, sides, decomposed, queue_rng):
 @pytest.mark.parametrize("seed", range(18))
 def test_matrix_equals_decomposition_with_sides(seed):
     # n = 12..20 with Predates, DateBounds and ranks, which drive the
-    # upper-bound rules; FIFO and random queue order
+    # upper-bound rules; the default and two random wake orders
     labels, atoms, sides = _sided_instance(seed)
     want = _sided_fixpoint(labels, atoms, sides, True, None)
     assert _sided_fixpoint(labels, atoms, sides, False, None) == want
@@ -503,6 +502,7 @@ def test_batch_wake_equals_merged_single_cell_wakes():
             post_atom(e, m, a)
         if e.propagate() is PropagateResult.FAILURE:
             continue
+        start = len(s.trail)
         for x in rng.sample(m.cell_vars, rng.randint(2, 8)):
             lo, hi = s.domain(x)
             if lo < hi:
@@ -511,7 +511,7 @@ def test_batch_wake_equals_merged_single_cell_wakes():
                 else:
                     s.tighten_ub(x, rng.randint(lo, hi - 1))
         changed = {}
-        for x, ev, _ in s.take_events():
+        for x, ev, _ in s.trail[start:]:
             changed[x] = changed.get(x, 0) | ev
         if not changed:
             continue
@@ -558,7 +558,7 @@ def _forest_fixpoint(trees, mode, reference, queue_rng):
 @pytest.mark.parametrize("seed", range(4))
 def test_batch_wakes_equal_the_reference_row_wakes_on_forests(seed, mode):
     # forests with n = 30..60, compatible and with two leaves swapped in
-    # one tree; the batch wakes in FIFO and two random queue orders
+    # one tree; the batch wakes in the default and two random wake orders
     # against the one-cell-at-a-time row wake of tests/oracles.py
     rng = random.Random(seed)
     n = rng.randint(30, 60)
