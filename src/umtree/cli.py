@@ -61,6 +61,17 @@ def _load_forest(paths) -> Forest:
     return Forest.from_trees(_read_trees(paths))
 
 
+def _load_species_forest(paths) -> Forest:
+    """The forest of a command that reads every leaf as a species. Only
+    `build` resolves a leaf that names an enclosing taxon, so here a
+    label on both a leaf and an internal node is an error."""
+    forest = _load_forest(paths)
+    both = sorted(set(forest.taxa).intersection(forest.species))
+    if both:
+        raise ValueError(f"taxon {both[0]!r} also labels a leaf; only build resolves enclosing taxa")
+    return forest
+
+
 def _parse_constraints(path: str, species: set[str]) -> list[SideConstraint]:
     """Line-oriented sidecar: `predates a b c d` posts M_ab < M_cd,
     `bounds a b LO HI` clamps M_ab; `#` starts a comment. A line that
@@ -143,7 +154,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_greedy(args) -> int:
-    forest = _load_forest(args.files)
+    forest = _load_species_forest(args.files)
     t0 = time.perf_counter()
     tree, report, model = greedy_build_with_model(forest, mode=args.mode)
     ms = (time.perf_counter() - t0) * 1e3
@@ -156,14 +167,14 @@ def _cmd_greedy(args) -> int:
 
 
 def _cmd_necessity(args) -> int:
-    forest = _load_forest(args.files)
+    forest = _load_species_forest(args.files)
     atom = parse_atom(args.atom)
     print("necessary" if necessity(forest, atom, mode=args.mode) else "not-necessary")
     return EXIT_OK
 
 
 def _cmd_explain(args) -> int:
-    forest = _load_forest(args.files)
+    forest = _load_species_forest(args.files)
     core = explain_conflict(forest, mode=args.mode)
     print(json.dumps(core.to_json()))
     return EXIT_OK
@@ -191,7 +202,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    model = build_model(_load_forest(args.files), args.mode)
+    model = build_model(_load_species_forest(args.files), args.mode)
     trees = enumerate_supertrees(model, args.limit)
     for tree in trees:
         print(serialize_newick(tree))

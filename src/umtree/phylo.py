@@ -14,8 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, groupby
-from operator import attrgetter, itemgetter, not_
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
@@ -410,131 +409,60 @@ def tree_to_matrix(tree: PhyloTree) -> UltrametricIntMatrix:
     return UltrametricIntMatrix(labels, np.array(rows, dtype=int))
 
 
-def _no_tie(a: int, b: int, c: int) -> bool:
-    lo = min(a, b, c)
-    return (a == lo) + (b == lo) + (c == lo) < 2
-
-
-def _find_violating_triple(rows: list[list[int]]) -> tuple[int, int, int]:
-    n = len(rows)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if _no_tie(rows[i][j], rows[i][k], rows[j][k]):
-                    return (i, j, k)
-    raise AssertionError("no violating triple found")
-
-
-def _violating_triple(rows: list[list[int]], i: int, j: int) -> tuple[int, int, int]:
-    """A triple without a tie for the minimum through the leaf pair (i, j),
-    found by one scan over the third leaf; when the pair lies in no such
-    triple, the first violating triple of the whole matrix."""
-    ri, rj, v = rows[i], rows[j], rows[i][j]
-    for k in range(len(rows)):
-        if k != i and k != j and _no_tie(v, ri[k], rj[k]):
-            return tuple(sorted((i, j, k)))
-    return _find_violating_triple(rows)
-
-
-def _clade_order(rows: list[list[int]]) -> list[int]:
-    """Leaf indices in depth-first order, children by their smallest leaf.
-
-    A clade's smallest leaf p splits the rest by its row: the leaves
-    whose mrca with p lies at depth d form the sibling clades of p's
-    ancestor at depth d, deepest first. Within such a group the smallest
-    remaining leaf q takes along the leaves that sit deeper than d with
-    it. Exact for an ultrametric; any other input still yields a
-    permutation, which the read-off's pair check then rejects.
-    """
-    order: list[int] = []
-    stack: list[tuple[list[int], int | None]] = [(list(range(len(rows))), None)]
-    while stack:
-        leaves, d = stack.pop()
-        if d is not None:  # sibling clades at depth d: split off the first
-            q, tail = leaves[0], leaves[1:]
-            inside = list(map(d.__lt__, map(rows[q].__getitem__, tail)))
-            rest = list(compress(tail, map(not_, inside)))
-            if rest:
-                stack.append((rest, d))
-            stack.append(([q, *compress(tail, inside)], None))
-            continue
-        p = leaves[0]
-        order.append(p)
-        if len(leaves) > 1:
-            depth = rows[p].__getitem__
-            ranked = sorted(leaves[1:], key=depth, reverse=True)  # stable: ties stay ascending
-            stack.extend(reversed([(list(group), k) for k, group in groupby(ranked, depth)]))
-    return order
-
-
-def _cross_pair_mismatch(
-    m: list[tuple[int, ...]], d: int, starts: list[int], end: int
-) -> tuple[int, int] | None:
-    """Positions of a pair of leaves in different child runs that does
-    not read d, or None when every such pair reads d.
-
-    Child k covers positions starts[k] up to the next start (or end) of
-    the leaf order. Each child is compared with all later ones from
-    whichever side has fewer leaves, one C-level count per leaf.
-    """
-    for lo, hi in zip(starts, starts[1:]):
-        if hi - lo <= end - hi:
-            for a in range(lo, hi):
-                row = m[a][hi:end]
-                if row.count(d) != end - hi:
-                    return a, hi + next(k for k, x in enumerate(row) if x != d)
-        else:
-            for b in range(hi, end):
-                col = m[b][lo:hi]
-                if col.count(d) != hi - lo:
-                    return lo + next(k for k, x in enumerate(col) if x != d), b
-    return None
-
-
 def matrix_to_tree(matrix: UltrametricIntMatrix) -> PhyloTree:
     """The unique tree whose mrca depths reproduce the matrix.
 
     Only comparisons between entries are used, so matrices equal up to a
-    strictly increasing relabelling of values give isomorphic trees. The
-    leaves are put in depth-first order (`_clade_order`), so every clade
-    is a run, and each clade's depth is the smallest entry between
-    neighbours inside its run. One stack pass over the neighbours then
-    builds the tree and checks every leaf pair once, at its mrca. A pair
-    that does not read its mrca's depth means some triple has no tie for
-    the minimum, and the input is rejected with a violating triple.
-    O(n^2) entry reads, no recursion.
+    strictly increasing relabelling of values give isomorphic trees.
+
+    One Prim pass orders the leaves: start at leaf 0, and place next the
+    free leaf with the largest entry to a placed leaf, ties to the
+    smallest index; that entry is the leaf's join height h. For an
+    ultrametric this is a depth-first order, so every clade is a run,
+    and each node lists its children in increasing order of their
+    smallest leaf index. With P the matrix in this order, the input is
+    ultrametric, and is the tree's, iff P[a, b] == min(P[a, b-1], h[b])
+    for every a < b. Otherwise the smallest failing b, any failing a
+    and the placed leaf m that gave h[b] form an index triple with no
+    tie for the minimum, which is reported. A stack pass over h then
+    builds the tree. O(n^2), no recursion.
     """
-    n = matrix.n
-    rows = matrix.values.tolist()
-    if n > 1 and min(min(row[:i] + row[i + 1:]) for i, row in enumerate(rows)) <= 0:
-        raise ValueError("off-diagonal entries must be positive")
+    n, values = matrix.n, matrix.values
     if n == 0:
         raise ValueError("empty matrix")
+    p = values.copy()
+    np.fill_diagonal(p, values.max() + 1)  # above every entry
+    if p.min() <= 0:
+        raise ValueError("off-diagonal entries must be positive")
+    w = p.copy()
+    w[:, 0] = 0  # a placed leaf's column: no row raises its key again
+    key = w[0].copy()  # each free leaf's largest entry to a placed leaf
+    order, h = [0] * n, [0] * n
+    for t in range(1, n):
+        q = order[t] = int(key.argmax())
+        h[t] = int(key[q])
+        w[:, q] = key[q] = 0
+        np.maximum(key, w[q], out=key)
+    p = p[order][:, order]
+    bad = np.triu(p[:, 1:] != np.minimum(p[:, :-1], h[1:]))
+    if bad.any():
+        b = int(bad.any(axis=0).argmax()) + 1
+        a, m = int(bad[:, b - 1].argmax()), int(p[b, :b].argmax())
+        raise NotUltrametricError(tuple(sorted((order[a], order[m], order[b]))))
     labels = matrix.labels
-    if n == 1:
-        return leaf(labels[0])
-    order = _clade_order(rows)
-    in_order = itemgetter(*order)
-    m = [in_order(rows[q]) for q in order]  # m[a][b]: entry of the a-th and b-th leaf
-    stack: list[tuple[int, list[PhyloTree], list[int]]] = []  # open clades: depth, children, their starts
-    last, last_start = leaf(labels[order[0]]), 0
-    for t in range(1, n + 1):
-        h = m[t - 1][t] if t < n else 0  # 0 closes every clade
-        while stack and stack[-1][0] > h:
-            d, kids, starts = stack.pop()
+    stack: list[tuple[int, list[PhyloTree]]] = []  # open clades: depth, children
+    last = leaf(labels[0])
+    for t, d in enumerate(h[1:] + [0], start=1):  # 0 closes every clade
+        while stack and stack[-1][0] > d:
+            kids = stack.pop()[1]
             kids.append(last)
-            starts.append(last_start)
-            bad = _cross_pair_mismatch(m, d, starts, t)
-            if bad is not None:
-                raise NotUltrametricError(_violating_triple(rows, order[bad[0]], order[bad[1]]))
-            last, last_start = PhyloTree(children=tuple(kids)), starts[0]
+            last = PhyloTree(children=tuple(kids))
         if t < n:
-            if stack and stack[-1][0] == h:
+            if stack and stack[-1][0] == d:
                 stack[-1][1].append(last)
-                stack[-1][2].append(last_start)
             else:
-                stack.append((h, [last], [last_start]))
-            last, last_start = leaf(labels[order[t]]), t
+                stack.append((d, [last]))
+            last = leaf(labels[order[t]])
     return last
 
 

@@ -13,7 +13,8 @@ reusing the propagation code paths it checks. It holds
 * the brute-force generator of every rooted tree, `all_rooted_trees`;
 * the implementations that faster code replaced, as references:
   `RowWakeMatrix` and the scalar relations;
-* two helpers that build test forests, and the tree-side oracles.
+* two helpers that build test forests, and the tree-side oracles, among
+  them BUILD, the polynomial compatibility test for rooted triples.
 """
 
 from __future__ import annotations
@@ -550,6 +551,42 @@ def oracle_compatible(trees: list[PhyloTree], species: tuple[str, ...]) -> bool:
         all(displays_by_codes(codes, w) for w in wanted)
         for _, codes in candidates_with_codes(tuple(sorted(species)))
     )
+
+
+def build_compatible(triples: Iterable[Triple], species: Iterable[str]) -> bool:
+    """BUILD (Aho, Sagiv, Szymanski & Ullman 1981): is there a rooted tree
+    on `species` in which every triple (xy)z holds?
+
+    Join x and y for every triple (xy)z whose species all lie in the
+    current leaf set. If the leaf set stays one piece, no tree exists;
+    otherwise its pieces are the root's children, and each is solved
+    with the triples inside it. A worklist replaces the recursion.
+    """
+    work = [(list(species), list(triples))]
+    while work:
+        leaves, rules = work.pop()
+        if len(leaves) < 3:
+            continue
+        root = {s: s for s in leaves}
+
+        def find(s: str) -> str:
+            while root[s] != s:
+                root[s] = s = root[root[s]]
+            return s
+
+        for t in rules:
+            root[find(t.x)] = find(t.y)
+        parts: dict[str, tuple[list[str], list[Triple]]] = {}
+        for s in leaves:
+            parts.setdefault(find(s), ([], []))[0].append(s)
+        if len(parts) == 1:
+            return False
+        for t in rules:
+            r = find(t.x)
+            if find(t.z) == r:
+                parts[r][1].append(t)
+        work.extend(parts.values())
+    return True
 
 
 def oracle_necessary(

@@ -326,3 +326,21 @@ def test_build_nested_taxa_end_to_end(tmp_path, capsys):
     assert main(["build", f1, f3, "--mode", "soft"]) == 1
     _, err = capsys.readouterr()
     assert json.loads(err.strip())["result"] == "incompatible-nested"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["greedy"], ["necessity", "--atom", "(a,b)T"], ["explain"], ["enumerate"]],
+    ids=["greedy", "necessity", "explain", "enumerate"],
+)
+def test_enclosing_taxon_leaf_is_an_error_outside_build(tmp_path, capsys, argv):
+    # T names an internal node and a leaf: build resolves it, the other
+    # commands would read it as one more species
+    nest = _write(tmp_path, "nest.nwk", "((a,b)T,c);\n(T,d);\n")
+    assert main(["build", nest]) == 0
+    assert capsys.readouterr().out == "((a,b)T,c,d);\n"
+    assert main([argv[0], nest, *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "'T'" in err
+    assert main(["breakup", nest]) == 0
+    assert capsys.readouterr().out == "(a,b)c\n"

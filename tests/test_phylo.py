@@ -28,7 +28,10 @@ from umtree import (
     soft_breakup,
     tree_to_matrix,
 )
-from umtree.generate import random_tree
+from umtree.engine import PropagateResult
+from umtree.generate import random_forest, random_tree
+from umtree.phylo import fold
+from umtree.supertree import Forest, build_model
 import numpy as np
 
 from oracles import all_rooted_trees, triple_codes, displays_by_codes, candidates_with_codes
@@ -193,62 +196,59 @@ def _no_tie(values, triple):
     return [a, b, c].count(lo) < 2
 
 
-def _first_violating_triple(values):
-    n = len(values)
-    return next(t for t in itertools.combinations(range(n), 3) if _no_tie(values, t))
-
-
-def _readoff_error(values, monkeypatch):
-    """The read-off's violating triple, and whether it needed the full scan."""
-    from umtree import phylo
-
-    full_scans = []
-    scan = phylo._find_violating_triple
-    monkeypatch.setattr(phylo, "_find_violating_triple", lambda rows: full_scans.append(1) or scan(rows))
-    labels = tuple(f"s{i}" for i in range(len(values)))
-    with pytest.raises(NotUltrametricError) as exc:
-        matrix_to_tree(UltrametricIntMatrix(labels, np.array(values)))
-    monkeypatch.undo()
-    return exc.value.triple, bool(full_scans)
-
-
-def test_violating_triple_comes_from_the_failing_pair(monkeypatch):
-    # perturbed tree matrices: one scan over the third leaf of the pair
-    # the read-off rejected finds a violating triple, with no full scan
+def test_reported_triple_is_sorted_distinct_and_violating():
+    # 300 rejected perturbed tree matrices, plus a 7x7 matrix in which six
+    # leaf pairs lie in no violating triple
+    inputs = [
+        [
+            [0, 3, 2, 3, 4, 3, 3],
+            [3, 0, 2, 2, 1, 3, 3],
+            [2, 2, 0, 2, 1, 2, 2],
+            [3, 2, 2, 0, 3, 2, 2],
+            [4, 1, 1, 3, 0, 1, 1],
+            [3, 3, 2, 2, 1, 0, 3],
+            [3, 3, 2, 2, 1, 3, 0],
+        ]
+    ]
     rng = random.Random(5)
-    found = 0
-    while found < 300:
+    while len(inputs) < 301:
         n = rng.randint(3, 12)
         values = tree_to_matrix(random_tree([f"s{i}" for i in range(n)], rng)).values.tolist()
         for _ in range(rng.randint(1, 3)):
             i, j = rng.sample(range(n), 2)
             values[i][j] = values[j][i] = rng.randint(1, n)
-        try:
-            matrix_to_tree(UltrametricIntMatrix(tuple(f"s{i}" for i in range(n)), np.array(values)))
-            continue
-        except NotUltrametricError:
-            pass
-        triple, full_scan = _readoff_error(values, monkeypatch)
-        if full_scan:
-            continue
-        found += 1
+        if any(_no_tie(values, t) for t in itertools.combinations(range(n), 3)):
+            inputs.append(values)
+    for values in inputs:
+        labels = tuple(f"s{i}" for i in range(len(values)))
+        with pytest.raises(NotUltrametricError) as exc:
+            matrix_to_tree(UltrametricIntMatrix(labels, np.array(values)))
+        triple = exc.value.triple
         assert list(triple) == sorted(set(triple)) and _no_tie(values, triple)
 
 
-def test_violating_triple_falls_back_to_the_full_scan(monkeypatch):
-    # the rejected pair lies in no violating triple here: the full scan
-    # reports the first violating triple of the matrix
-    values = [
-        [0, 3, 2, 3, 4, 3, 3],
-        [3, 0, 2, 2, 1, 3, 3],
-        [2, 2, 0, 2, 1, 2, 2],
-        [3, 2, 2, 0, 3, 2, 2],
-        [4, 1, 1, 3, 0, 1, 1],
-        [3, 3, 2, 2, 1, 0, 3],
-        [3, 3, 2, 2, 1, 3, 0],
-    ]
-    triple, full_scan = _readoff_error(values, monkeypatch)
-    assert full_scan and triple == _first_violating_triple(values) == (0, 1, 3)
+def _assert_children_by_smallest_leaf(tree, index):
+    def at_node(nd, smallest):
+        assert smallest == sorted(smallest), serialize_newick(tree)
+        return smallest[0]
+
+    fold(tree, lambda nd: index[nd.label], at_node)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_readoff_lists_children_by_their_smallest_leaf(seed):
+    # the contract behind the read-off's byte-level output: on random
+    # trees and on the lower bounds of random models, every node lists
+    # its children in increasing order of their smallest leaf's index
+    rng = random.Random(seed)
+    labels = [f"s{i:02d}" for i in range(rng.randint(2, 30))]
+    m = tree_to_matrix(random_tree(rng.sample(labels, len(labels)), rng))
+    _assert_children_by_smallest_leaf(matrix_to_tree(m), m.index)
+    forest = Forest.from_trees(random_forest(rng.choice((14, 40)), 3, 0.25, rng))
+    model = build_model(forest, rng.choice(("hard", "soft")))
+    assert model.engine.propagate() is PropagateResult.FIXPOINT
+    m = model.lb_matrix()
+    _assert_children_by_smallest_leaf(matrix_to_tree(m), m.index)
 
 
 def _caterpillar(n, labels=None):

@@ -40,7 +40,7 @@ from umtree.generate import random_forest, random_tree
 from umtree.phylo import iter_nodes
 from umtree.ultrametric import UltrametricMatrix
 
-from oracles import oracle_compatible, oracle_necessary, oracle_supertrees
+from oracles import build_compatible, oracle_compatible, oracle_necessary, oracle_supertrees, swap_leaves
 
 
 def _forest(*newicks):
@@ -158,6 +158,31 @@ def test_cp_build_verdict_matches_oracle_small():
         f = _atom_forest(atoms)
         got = cp_build(build_model(f, "hard")) is not None
         assert got == oracle_compatible(list(f.trees), f.species)
+
+
+def test_build_oracle_matches_brute_force_small():
+    rng = random.Random(23)
+    species = tuple(f"s{i}" for i in range(5))
+    for _ in range(60):
+        atoms = [Triple.of(*rng.sample(species, 3)) for _ in range(rng.randint(1, 6))]
+        f = _atom_forest(atoms)
+        assert build_compatible(atoms, f.species) == oracle_compatible(list(f.trees), f.species)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cp_build_verdict_matches_build_at_size(seed):
+    # binary inputs break up into triples only, in both modes, so BUILD
+    # decides compatibility independently of the propagator
+    rng = random.Random(seed)
+    trees = random_forest(rng.randint(40, 80), 3, 0.25, rng, binary=True)
+    if seed % 2:
+        trees[0] = swap_leaves(trees[0], *rng.sample(sorted(leaf_labels(trees[0])), 2))
+    forest = Forest.from_trees(trees)
+    for mode in ("hard", "soft"):
+        model = build_model(forest, mode)
+        assert all(isinstance(a, Triple) for a in model.atoms)
+        got = cp_build(model) is not None
+        assert got == build_compatible(model.atoms, forest.species)
 
 
 # -- necessity ---------------------------------------------------------------------
