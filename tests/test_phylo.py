@@ -196,35 +196,48 @@ def _no_tie(values, triple):
     return [a, b, c].count(lo) < 2
 
 
-def test_reported_triple_is_sorted_distinct_and_violating():
-    # 300 rejected perturbed tree matrices, plus a 7x7 matrix in which six
-    # leaf pairs lie in no violating triple
-    inputs = [
-        [
-            [0, 3, 2, 3, 4, 3, 3],
-            [3, 0, 2, 2, 1, 3, 3],
-            [2, 2, 0, 2, 1, 2, 2],
-            [3, 2, 2, 0, 3, 2, 2],
-            [4, 1, 1, 3, 0, 1, 1],
-            [3, 3, 2, 2, 1, 0, 3],
-            [3, 3, 2, 2, 1, 3, 0],
-        ]
-    ]
+def _readoff_error(values):
+    """The violating triple the read-off reports for a non-ultrametric matrix."""
+    labels = tuple(f"s{i}" for i in range(len(values)))
+    with pytest.raises(NotUltrametricError) as exc:
+        matrix_to_tree(UltrametricIntMatrix(labels, np.array(values)))
+    return exc.value.triple
+
+
+def test_violating_triple_comes_from_the_failing_pair():
+    # 300 rejected perturbed tree matrices: the triple named by the first
+    # failing column and the leaf that gave its key is sorted, distinct
+    # and has no tie for the minimum
     rng = random.Random(5)
-    while len(inputs) < 301:
+    found = 0
+    while found < 300:
         n = rng.randint(3, 12)
         values = tree_to_matrix(random_tree([f"s{i}" for i in range(n)], rng)).values.tolist()
         for _ in range(rng.randint(1, 3)):
             i, j = rng.sample(range(n), 2)
             values[i][j] = values[j][i] = rng.randint(1, n)
-        if any(_no_tie(values, t) for t in itertools.combinations(range(n), 3)):
-            inputs.append(values)
-    for values in inputs:
-        labels = tuple(f"s{i}" for i in range(len(values)))
-        with pytest.raises(NotUltrametricError) as exc:
-            matrix_to_tree(UltrametricIntMatrix(labels, np.array(values)))
-        triple = exc.value.triple
+        if not any(_no_tie(values, t) for t in itertools.combinations(range(n), 3)):
+            continue
+        found += 1
+        triple = _readoff_error(values)
         assert list(triple) == sorted(set(triple)) and _no_tie(values, triple)
+
+
+def test_violating_triple_falls_back_to_the_full_scan():
+    # six leaf pairs lie in no violating triple here, so a search from a
+    # rejected pair can need a scan of every triple; the read-off names a
+    # violating triple directly all the same
+    values = [
+        [0, 3, 2, 3, 4, 3, 3],
+        [3, 0, 2, 2, 1, 3, 3],
+        [2, 2, 0, 2, 1, 2, 2],
+        [3, 2, 2, 0, 3, 2, 2],
+        [4, 1, 1, 3, 0, 1, 1],
+        [3, 3, 2, 2, 1, 0, 3],
+        [3, 3, 2, 2, 1, 3, 0],
+    ]
+    triple = _readoff_error(values)
+    assert _no_tie(values, triple) and triple == (0, 1, 4)
 
 
 def _assert_children_by_smallest_leaf(tree, index):
