@@ -561,53 +561,55 @@ def isomorphic(t1: PhyloTree, t2: PhyloTree) -> bool:
     return canonical_form(t1) == canonical_form(t2)
 
 
-def displays(t1: PhyloTree, t2: PhyloTree) -> bool:
-    """True iff restricting t1 to t2's leaves reproduces t2's topology.
+def clusters(tree: PhyloTree) -> dict[PhyloTree, frozenset[str]]:
+    """Every node's cluster: the frozenset of the leaf labels under it.
 
-    Internal labels and ranks are ignored. t2's leaves must be a subset
-    of t1's.
+    Taxon labels are not members. The nodes come in fold order, each
+    after its descendants and the root last, so the first node whose
+    cluster holds a set of leaves is their mrca. A rooted tree is its set
+    of clusters (Semple & Steel 2003); iterate a cluster's members only
+    where their order cannot reach an output.
     """
-    l2 = leaf_labels(t2)
-    if not l2 <= leaf_labels(t1):
-        raise ValueError("second tree has leaves outside the first")
-    restricted = restrict_and_suppress(t1, l2)
-    return canonical_form(restricted, with_internal_labels=False) == canonical_form(
-        t2, with_internal_labels=False
-    )
+    out: dict[PhyloTree, frozenset[str]] = {}
 
-
-def _labels_below(tree: PhyloTree) -> dict[str, set[str]]:
-    """Per label: the labels on its node and below it."""
-    below: dict[str, set[str]] = {}
-
-    def gather(nd: PhyloTree, kids: Iterable[set[str]] = ()) -> set[str]:
-        here = set().union(*kids)
-        if nd.label is not None:
-            here.add(nd.label)
-            below[nd.label] = here
+    def keep(nd: PhyloTree, kids: Iterable[frozenset[str]] = ()) -> frozenset[str]:
+        out[nd] = here = frozenset().union(*kids) if kids else frozenset((nd.label,))
         return here
 
-    fold(tree, gather, gather)
-    return below
+    fold(tree, keep, keep)
+    return out
+
+
+def displays(t1: PhyloTree, t2: PhyloTree) -> bool:
+    """True iff t1's clusters, cut down to t2's leaves, are t2's clusters:
+    restricting t1 to those leaves reproduces t2's topology.
+
+    Internal labels and ranks are ignored. Raises ValueError unless t2's
+    leaves are a subset of t1's.
+    """
+    c1, c2 = clusters(t1), clusters(t2)
+    l2 = c2[t2]
+    if not l2 <= c1[t1]:
+        raise ValueError("second tree has leaves outside the first")
+    return {c & l2 for c in c1.values()} - {frozenset()} == set(c2.values())
 
 
 def perfectly_displays(t: PhyloTree, t_prime: PhyloTree) -> bool:
     """Display plus exact preservation of label ancestry.
 
-    Checks: every label of t_prime occurs in t; t displays t_prime
-    (internal labels ignored); and for every label a of t_prime, the
-    labels of t_prime on a's node and below are the same in both trees.
-    Leaves of t_prime must be leaves of t, otherwise False.
+    Every labelled node of t_prime, leaf or taxon, needs a node of t with
+    the same label whose cluster, cut down to t_prime's leaves, is its
+    own cluster in t_prime; then t displays t_prime. So labels of t_prime
+    missing from t, and leaves of t_prime that are internal in t, give
+    False. Taxon labels are compared node to node, never as members of
+    one cluster.
     """
-    labels = all_labels(t_prime)
-    if not labels <= all_labels(t):
+    ct, cp = clusters(t), clusters(t_prime)
+    leaves = cp[t_prime]
+    cut = {nd.label: c & leaves for nd, c in ct.items() if nd.label is not None}
+    if any(nd.label is not None and cut.get(nd.label) != c for nd, c in cp.items()):
         return False
-    if not leaf_labels(t_prime) <= leaf_labels(t):
-        return False
-    if not displays(t, t_prime):
-        return False
-    below_t, below_p = _labels_below(t), _labels_below(t_prime)
-    return all(below_t[a] & labels == below_p[a] for a in labels)
+    return {c & leaves for c in ct.values()} - {frozenset()} == set(cp.values())
 
 
 # -- atoms of a tree ---------------------------------------------------------

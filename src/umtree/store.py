@@ -101,9 +101,6 @@ class Store:
     def ub(self, v: int) -> int:
         return self.ubs[v]
 
-    def is_fixed(self, v: int) -> bool:
-        return self.lbs[v] == self.ubs[v]
-
     def domain(self, v: int) -> tuple[int, int]:
         return (self.lbs[v], self.ubs[v])
 

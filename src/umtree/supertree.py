@@ -25,6 +25,7 @@ from .phylo import (
     UltrametricIntMatrix,
     atom_holds,
     canonical_form,
+    clusters,
     fold,
     hard_breakup,
     iter_nodes,
@@ -497,25 +498,10 @@ def attach_labels(
     IncompatibleNestedError rather than returning a wrong tree.
     """
     targets: dict[int, str] = {}
-
-    def mrca(wanted: frozenset[str]) -> PhyloTree:
-        """The deepest node with every wanted leaf below it, else the root.
-
-        fold meets every node after its descendants, so the first node
-        whose count of wanted leaves is full is the mrca.
-        """
-        full: list[PhyloTree] = []
-
-        def tally(nd: PhyloTree, count: int) -> int:
-            if count == len(wanted):
-                full.append(nd)
-            return count
-
-        fold(tree, lambda nd: tally(nd, nd.label in wanted), lambda nd, kids: tally(nd, sum(kids)))
-        return full[0] if full else tree
-
+    spans = clusters(tree)  # fold order: the first node whose cluster holds a set is its mrca
     for label in sorted(desc_map):
-        spot = mrca(desc_map[label])
+        wanted = desc_map[label]
+        spot = next((nd for nd, c in spans.items() if wanted <= c), tree)
         if spot.is_leaf:
             raise IncompatibleNestedError(f"taxon {label!r} collapses onto a single species")
         if id(spot) in targets:

@@ -14,7 +14,8 @@ reusing the propagation code paths it checks. It holds
 * the implementations that faster code replaced, as references:
   `RowWakeMatrix` and the scalar relations;
 * two helpers that build test forests, and the tree-side oracles, among
-  them BUILD, the polynomial compatibility test for rooted triples.
+  them BUILD with fans, the polynomial compatibility test for rooted
+  triples and fans.
 """
 
 from __future__ import annotations
@@ -553,16 +554,20 @@ def oracle_compatible(trees: list[PhyloTree], species: tuple[str, ...]) -> bool:
     )
 
 
-def build_compatible(triples: Iterable[Triple], species: Iterable[str]) -> bool:
-    """BUILD (Aho, Sagiv, Szymanski & Ullman 1981): is there a rooted tree
-    on `species` in which every triple (xy)z holds?
+def build_compatible(atoms: Iterable[Triple | Fan], species: Iterable[str]) -> bool:
+    """BUILD (Aho, Sagiv, Szymanski & Ullman 1981) with fans, the top-split
+    step of Ng & Wormald's (1996) OneTree: is there a rooted tree on
+    `species` in which every triple (xy)z and every fan (xyz) holds?
 
-    Join x and y for every triple (xy)z whose species all lie in the
-    current leaf set. If the leaf set stays one piece, no tree exists;
-    otherwise its pieces are the root's children, and each is solved
-    with the triples inside it. A worklist replaces the recursion.
+    Among the atoms whose species all lie in the current leaf set, a
+    triple (xy)z joins x and y, and a fan (xyz) with two members joined
+    joins the third, repeated until nothing joins. If the leaf set stays
+    one piece, no tree exists; otherwise its pieces are the root's
+    children, and each is solved with the atoms inside it. A fan split
+    over three pieces holds at the root. A worklist replaces the
+    recursion.
     """
-    work = [(list(species), list(triples))]
+    work = [(list(species), list(atoms))]
     while work:
         leaves, rules = work.pop()
         if len(leaves) < 3:
@@ -574,17 +579,26 @@ def build_compatible(triples: Iterable[Triple], species: Iterable[str]) -> bool:
                 root[s] = s = root[root[s]]
             return s
 
-        for t in rules:
-            root[find(t.x)] = find(t.y)
-        parts: dict[str, tuple[list[str], list[Triple]]] = {}
+        joined = True
+        while joined:
+            joined = False
+            for a in rules:
+                if isinstance(a, Fan) and len({find(s) for s in a.species}) != 2:
+                    continue
+                top = find(a.y)
+                for s in (a.x, a.z) if isinstance(a, Fan) else (a.x,):
+                    if find(s) != top:
+                        root[find(s)] = top
+                        joined = True
+        parts: dict[str, tuple[list[str], list[Triple | Fan]]] = {}
         for s in leaves:
             parts.setdefault(find(s), ([], []))[0].append(s)
         if len(parts) == 1:
             return False
-        for t in rules:
-            r = find(t.x)
-            if find(t.z) == r:
-                parts[r][1].append(t)
+        for a in rules:
+            r = find(a.x)
+            if find(a.z) == r:
+                parts[r][1].append(a)
         work.extend(parts.values())
     return True
 

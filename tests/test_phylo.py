@@ -30,7 +30,7 @@ from umtree import (
 )
 from umtree.engine import PropagateResult
 from umtree.generate import random_forest, random_tree
-from umtree.phylo import fold
+from umtree.phylo import clusters, fold
 from umtree.supertree import Forest, build_model
 import numpy as np
 
@@ -457,6 +457,19 @@ def test_restrict_validates_labels():
         restrict_and_suppress(t, set())
 
 
+def test_clusters_lists_each_node_after_its_descendants():
+    t = parse_newick("((a,b)P,(c,(d,e))#2,f);")
+    spans = clusters(t)
+    assert list(spans)[-1] is t
+    seen = set()
+    for nd in spans:
+        assert all(c in seen for c in nd.children)
+        seen.add(nd)
+    # P labels the node of a and b, but taxon labels are no members
+    want = ["a", "ab", "abcdef", "b", "c", "cde", "d", "de", "e", "f"]
+    assert sorted("".join(sorted(c)) for c in spans.values()) == want
+
+
 def test_displays_examples():
     t1 = parse_newick("((a,b),c);")
     assert displays(t1, parse_newick("(a,b);"))
@@ -500,6 +513,10 @@ def test_perfectly_displays_positive():
     out = parse_newick("(((a,b)P,g),c,(d,e));")
     t1 = parse_newick("((a,b)P,c);")
     assert perfectly_displays(out, t1)
+    # T0's node holds s000 and s004 too; cut down to the input's leaves,
+    # its cluster is the input's root cluster
+    out = parse_newick("(s002,((s004,s000),(s003,s001))T0);")
+    assert perfectly_displays(out, parse_newick("(s001,s003)T0;"))
 
 
 def test_perfectly_displays_gained_descendant():
@@ -513,6 +530,8 @@ def test_perfectly_displays_missing_label():
     out = parse_newick("((a,b),c);")  # no P anywhere
     t1 = parse_newick("((a,b)P,c);")
     assert not perfectly_displays(out, t1)
+    # the leaf c of the input labels an internal node of the output
+    assert not perfectly_displays(parse_newick("((a,b)c,d);"), parse_newick("(c,d);"))
 
 
 # -- isomorphism ----------------------------------------------------------------

@@ -10,7 +10,7 @@ def test_new_var_examples():
     v = s.new_var(1, 4)
     assert s.domain(v) == (1, 4)
     d = s.new_var(0, 0)
-    assert s.domain(d) == (0, 0) and s.is_fixed(d)
+    assert s.domain(d) == (0, 0)
     n = 5
     w = s.new_var(1, n - 1)
     assert s.domain(w) == (1, 4)

@@ -161,26 +161,41 @@ def test_cp_build_verdict_matches_oracle_small():
 
 
 def test_build_oracle_matches_brute_force_small():
+    # triple sets over 5 species, then triples and fans over 3-6 species,
+    # where the fan closure decides
     rng = random.Random(23)
-    species = tuple(f"s{i}" for i in range(5))
-    for _ in range(60):
-        atoms = [Triple.of(*rng.sample(species, 3)) for _ in range(rng.randint(1, 6))]
+    species = tuple(f"s{i}" for i in range(6))
+    cases = [
+        [Triple.of(*rng.sample(species[:5], 3)) for _ in range(rng.randint(1, 6))] for _ in range(60)
+    ]
+    for _ in range(150):
+        some = species[: rng.randint(3, 6)]
+        kinds = [rng.choice((Triple.of, Fan.of)) for _ in range(rng.randint(1, 7))]
+        cases.append([of(*rng.sample(some, 3)) for of in kinds])
+    verdicts = set()
+    for atoms in cases:
         f = _atom_forest(atoms)
-        assert build_compatible(atoms, f.species) == oracle_compatible(list(f.trees), f.species)
+        want = oracle_compatible(list(f.trees), f.species)
+        assert build_compatible(atoms, f.species) == want, atoms
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("seed", range(32))
 def test_cp_build_verdict_matches_build_at_size(seed):
-    # binary inputs break up into triples only, in both modes, so BUILD
-    # decides compatibility independently of the propagator
+    # BUILD with the fan closure decides compatibility independently of
+    # the propagator. Seeds 0-19 draw binary forests, which break up into
+    # triples only in both modes; seeds 20-31 multifurcating ones.
+    binary = seed < 20
     rng = random.Random(seed)
-    trees = random_forest(rng.randint(40, 80), 3, 0.25, rng, binary=True)
+    trees = random_forest(rng.randint(40, 80), 3, 0.25, rng, binary=binary)
     if seed % 2:
         trees[0] = swap_leaves(trees[0], *rng.sample(sorted(leaf_labels(trees[0])), 2))
     forest = Forest.from_trees(trees)
     for mode in ("hard", "soft"):
         model = build_model(forest, mode)
-        assert all(isinstance(a, Triple) for a in model.atoms)
+        if binary:
+            assert all(isinstance(a, Triple) for a in model.atoms)
         got = cp_build(model) is not None
         assert got == build_compatible(model.atoms, forest.species)
 
