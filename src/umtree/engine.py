@@ -58,9 +58,12 @@ class Propagator:
     `LEVEL` picks the level: 0 for cheap propagators, 1 for one that is
     woken only once no level-0 propagator is due.
 
-    A propagator that takes rows after registration reports their number
-    through `size()`, and `truncate(size)` drops the rows posted since;
-    the engine calls both around a checkpoint.
+    A propagator with state that a restore must rewind keeps an undo
+    log: `size()` reports its length, and `truncate(size)` pops and undoes
+    the entries appended since. The engine calls both around a
+    checkpoint. A relation table's log is its rows; the matrix
+    propagator's holds its cluster merges and its index of lowered
+    upper bounds.
     """
 
     __slots__ = ("seen",)

@@ -6,22 +6,30 @@ strictly greater. This module provides the symmetric matrix of mrca
 depth variables (`MrcaMatrix`) and one propagator (`UltrametricMatrix`)
 that enforces the relation over every index triple of that matrix while
 storing only one propagator object (constant code representation instead
-of an n-choose-3 constraint list), applying the per-triple closed forms
-to the two rows of every changed cell at once.
+of an n-choose-3 constraint list).
 
 Lower bounds that are individually supported always support each other,
-so at any non-failed fixpoint the lower-bound tuple itself satisfies the
-relation. Upper bounds enjoy no such property.
+so at any non-failed fixpoint the lower-bound matrix is itself
+ultrametric; upper bounds enjoy no such property. An ultrametric matrix
+is a hierarchy of clusters: i and j share a cluster at depth d exactly
+when lb(i, j) >= d. The propagator keeps that hierarchy, one partition
+of the species per depth, and applies both per-triple closed forms to
+whole clusters, so a wake costs in proportion to the bounds it narrows
+and the clusters it merges, not to the size of the matrix.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Sequence
 
 import numpy as np
 
 from .engine import Engine, Propagator
 from .store import Event, Store
+
+_MIN = Event.MIN
+_MAX = Event.MAX
 
 
 class MrcaMatrix:
@@ -34,14 +42,16 @@ class MrcaMatrix:
     the same variable by construction.
 
     The cells are one block of consecutive variables, `cell_vars`,
-    numbered row-major over the pairs (i, j), i < j, so
-    `pairs[v - cell_vars[0]]` is the index pair of cell variable v.
-    `cell_ids` is the n x n index array of the cell variables, read by
-    `cell` one slot at a time and by `row_pairs` a row at a time; the
+    numbered row-major over the pairs (i, j), i < j, so with
+    k = v - cell_vars[0], `pairs[2k]` and `pairs[2k + 1]` are the index
+    pair of cell variable v. `cell_ids` is the n x n index array of the
+    cell variables, a numpy view of `flat_ids` (slot i * n + j); the
     diagonal slots hold 0, a placeholder that every reader overwrites.
+    `pairs` and `flat_ids` are `array("q")`s, which the matrix
+    propagator indexes one slot at a time at list speed.
     """
 
-    __slots__ = ("store", "labels", "n", "index", "cell_vars", "cell_ids", "pairs")
+    __slots__ = ("store", "labels", "n", "index", "cell_vars", "cell_ids", "flat_ids", "pairs")
 
     def __init__(self, store: Store, labels: Sequence[str]):
         labels = tuple(labels)
@@ -54,9 +64,10 @@ class MrcaMatrix:
         self.index = {lab: i for i, lab in enumerate(labels)}
         self.cell_vars = cells = store.new_vars(n * (n - 1) // 2, 1, n - 1)
         i, j = np.triu_indices(n, 1)
-        self.cell_ids = np.zeros((n, n), dtype=np.intp)
+        self.flat_ids = array("q", [0]) * (n * n)
+        self.cell_ids = np.frombuffer(self.flat_ids, dtype=np.int64).reshape(n, n)
         self.cell_ids[i, j] = self.cell_ids[j, i] = np.arange(cells.start, cells.stop)
-        self.pairs = np.stack((i, j), axis=1)
+        self.pairs = array("q", np.stack((i, j), axis=1).tobytes())
 
     def cell(self, i: int, j: int) -> int:
         """Variable id of the unordered pair {i, j}, i != j."""
@@ -75,109 +86,198 @@ class MrcaMatrix:
         np.fill_diagonal(m, 0)
         return m
 
-    def row_pairs(self, cells: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The cells as an array and rows i and j of each cell x = (i, j)
-        as a (cells, 2, n) block of ids. Slots k = i and k = j, which form
-        no triple with x, hold x itself."""
-        x = np.array(cells, dtype=np.intp)
-        ij = self.pairs[x - self.cell_vars[0]]
-        ids = self.cell_ids[ij]
-        ids[np.arange(len(x))[:, None], _ROW_I_J, ij] = x[:, None]
-        return x, ids
-
-
-_ROW_I_J = np.array([0, 1])
-_LOW = np.iinfo(np.int64).min
-_HIGH = np.iinfo(np.int64).max
-
-
-def _tighten_strongest(tighten, ids: np.ndarray, vals: np.ndarray, largest: bool) -> None:
-    """One tighten call per variable, with its largest (or smallest) value.
-
-    Sorted so that the strongest value of each variable comes last; the
-    dict keeps it.
-    """
-    if not len(ids):
-        return
-    order = vals.argsort()
-    if not largest:
-        order = order[::-1]
-    for v, val in dict(zip(ids[order].tolist(), vals[order].tolist())).items():
-        tighten(v, val)
-
 
 class UltrametricMatrix(Propagator):
     """Single propagator keeping a whole MrcaMatrix ultrametric.
 
-    An event at cell x = (i, j) concerns the n-2 triples (x, u_k, w_k)
-    with u_k = M[i,k] and w_k = M[j,k]. Per triple, bounds consistency
-    has two closed forms:
+    Per triple of cells, bounds consistency has two closed forms:
 
     * lower bounds: lb(v) >= min(lb(u), lb(w)) for every member v and
       the two others u, w;
     * upper bounds: ub(v) <= ub(u) whenever lb(w) > ub(u).
 
-    For each changed cell x a wake applies the instances whose premise
-    reads the bound of x that changed: after MIN, the lb-rule for u_k
-    and w_k and the ub-rule with w = x; after MAX, the ub-rule with
-    u = x. Every other instance reads only u_k and w_k, and the wake
-    after whichever of them changed last applies it.
+    Over the whole matrix the lower-bound rule closes lb under maximin
+    paths, so the cells with lb >= d link the species into clusters, and
+    every cell inside a cluster has lb >= d. The propagator keeps these
+    clusters as one partition per depth d >= 2 (`cid[d][i]` is the
+    cluster of species i, `members[d]` the member lists of the clusters
+    it has merged), created when a lower bound first reaches d; depth 1
+    is the whole species set. The partitions are nested: a cluster at d
+    lies inside one at d - 1.
 
-    One wake handles every changed cell, that is every changed variable
-    inside `matrix.cell_vars`; the engine hands it the others too. Per
-    pass of up to n cells, rows i and j of each cell are gathered into a
-    (cells, 2, n) block (`MrcaMatrix.row_pairs`), and the three rules run
-    over the whole block with numpy on one snapshot of the bounds, read
-    through zero-copy views of the store. Where several cells narrow the
-    same variable, only the largest lb and the smallest ub go to the
-    store, so each narrowing raises one event, and the narrowed cells'
-    rows are woken in turn.
+    A MIN event at cell (i, j) with lb a joins the clusters of i and j
+    at every depth d = a, a-1, ... down to the first where they already
+    share one: it raises to d every cell between the two clusters that
+    is still below d, then merges them, the smaller into the larger. A
+    cell whose species already share a cluster at depth a costs one
+    comparison.
+
+    In cluster form the upper-bound rule reads: a cell (i, k) with ub b
+    keeps the depth-(b+1) clusters of i and k apart, so ub(j, k) <= b
+    for every j in i's cluster and ub(i, j) <= b for every j in k's.
+    A MAX event applies it to its cell, and a merge at depth d applies
+    it to the cells with ub d-1 of one member of each merged cluster,
+    found through `low`, the sparse index of the cells whose ub fell
+    below n-1 (`low[i]` holds each such k for species i). The cells it
+    narrows apply it in turn at their own events.
+
+    Each merge and each cell added to `low` appends one entry to `log`:
+    `size()` is its length, and `truncate` pops entries and undoes them,
+    so an engine restore rewinds the clusters with the bounds. A wake
+    does work in proportion to its changed cells, the bounds it narrows
+    and the clusters it merges.
 
     Registering it needs no wake: cells are constructed at [1, n-1],
     which is already bounds-consistent (all-equal tuples support every
-    bound).
+    bound) and leaves every cluster a single species.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "cid", "members", "low", "log")
 
     LEVEL = 1  # woken once the relations are at their fixpoint
 
     def __init__(self, matrix: MrcaMatrix):
+        cells = matrix.cell_vars
+        if cells:
+            # views into the store's arrays, dropped on return
+            lbs = np.frombuffer(matrix.store.lbs, dtype=np.int64)[cells.start:cells.stop]
+            ubs = np.frombuffer(matrix.store.ubs, dtype=np.int64)[cells.start:cells.stop]
+            if lbs.max() > 1 or ubs.min() < matrix.n - 1:
+                raise ValueError("the matrix propagator needs every cell at [1, n-1] when registered")
         self.matrix = matrix
+        self.cid: list[list[int] | None] = [None] * matrix.n
+        self.members: list[dict[int, list[int]] | None] = [None] * matrix.n
+        self.low: dict[int, set[int]] = {}
+        self.log: list[tuple[int, ...]] = []
+
+    def size(self) -> int:
+        return len(self.log)
+
+    def truncate(self, size: int) -> None:
+        log = self.log
+        while len(log) > size:
+            entry = log.pop()
+            if len(entry) == 2:  # a cell added to low
+                i, k = entry
+                self.low[i].discard(k)
+                self.low[k].discard(i)
+            else:  # a merge at depth d: the last `count` members of `big` were `small`'s
+                d, big, small, count = entry
+                moved = self.members[d][big][-count:]
+                del self.members[d][big][-count:]
+                cid = self.cid[d]
+                for x in moved:
+                    cid[x] = small
+                self.members[d][small] = moved
 
     def wake(self, store: Store, changed: dict[int, int], events: int) -> None:
         mat = self.matrix
-        n = mat.n
         lo, hi = mat.cell_vars.start, mat.cell_vars.stop
-        cells = [v for v in changed if lo <= v < hi]
-        # views into the store's arrays; they must not outlive this call
-        lbs = np.frombuffer(store.lbs, dtype=np.int64)
-        ubs = np.frombuffer(store.ubs, dtype=np.int64)
-        for start in range(0, len(cells), n):  # n cells per pass bound a block at 2n^2 ids
-            batch = cells[start:start + n]
-            x, ids = mat.row_pairs(batch)
-            # lb(x) where it rose and ub(x) where it fell; elsewhere a
-            # sentinel under which no rule narrows
-            a = np.array([store.lbs[v] if changed[v] & Event.MIN else _LOW for v in batch])[:, None, None]
-            b = np.array([store.ubs[v] if changed[v] & Event.MAX else _HIGH for v in batch])[:, None, None]
-            lb, ub = lbs[ids], ubs[ids]
-            # the other cell of the triple sits in the other row, same slot
-            other_lb, other_ub = lb[:, ::-1], ub[:, ::-1]
-            # lb(v) >= min(lb(x), lb(other))
-            new_lb = np.minimum(other_lb, a)
-            # lb(x) > ub(other) leaves v = other as the tied minimum:
-            # ub(v) <= ub(other); lb(other) > ub(x) leaves v = x: ub(v) <= ub(x)
-            new_ub = np.minimum(np.where(other_ub < a, other_ub, _HIGH), np.where(other_lb > b, b, _HIGH))
-            up, down = new_lb > lb, new_ub < ub
-            _tighten_strongest(store.tighten_lb, ids[up], new_lb[up], largest=True)
-            _tighten_strongest(store.tighten_ub, ids[down], new_ub[down], largest=False)
+        pairs = mat.pairs
+        lbs, ubs = store.lbs, store.ubs
+        cids = self.cid
+        for v, ev in changed.items():
+            if lo <= v < hi:
+                k = 2 * (v - lo)
+                i, j = pairs[k], pairs[k + 1]
+                if ev & _MIN:
+                    a = lbs[v]
+                    cid = cids[a]
+                    if cid is None or cid[i] != cid[j]:
+                        self._join(store, i, j, a)
+                        if store.failed:
+                            return
+                if ev & _MAX:
+                    self._separate(store, i, j, ubs[v])
+                    if store.failed:
+                        return
+
+    def _join(self, store: Store, i: int, j: int, a: int) -> None:
+        """lb(i, j) rose to a: join the clusters of i and j at every depth
+        from a down to the first where they already share one."""
+        n = self.matrix.n
+        ids = self.matrix.flat_ids
+        lbs = store.lbs
+        for d in range(a, 1, -1):
+            cid = self.cid[d]
+            if cid is None:
+                cid = self.cid[d] = list(range(n))
+                self.members[d] = {}
+            ci, cj = cid[i], cid[j]
+            if ci == cj:
+                return
+            mem = self.members[d]
+            A = mem.get(ci) or [ci]
+            B = mem.get(cj) or [cj]
+            for p in A:
+                row = p * n
+                for q in B:
+                    v = ids[row + q]
+                    if lbs[v] < d:
+                        store.tighten_lb(v, d)
+            if self.low and not store.failed:
+                self._cut(store, ci, B, d - 1)
+                self._cut(store, cj, A, d - 1)
             if store.failed:
                 return
+            if len(A) < len(B):
+                ci, cj, A, B = cj, ci, B, A
+            for x in B:
+                cid[x] = ci
+            A.extend(B)
+            mem[ci] = A
+            mem.pop(cj, None)
+            self.log.append((d, ci, cj, len(B)))
+
+    def _cut(self, store: Store, r: int, T: list[int], b: int) -> None:
+        """T joins the cluster of r at depth b + 1: every cell (r, k)
+        with ub b keeps k apart from T, ub(q, k) <= b for q in T.
+
+        One member r stands for its cluster. The rule runs on whole
+        clusters, so once the events read so far are applied, each
+        member has the same cells with ub < b + 1. A member whose cell
+        is lowered but not yet read covers T when that event is read,
+        and a member whose cell has ub < b has covered T at a smaller
+        depth, where the two clusters are joined too."""
+        n = self.matrix.n
+        ids = self.matrix.flat_ids
+        ubs = store.ubs
+        row = r * n
+        for k in self.low.get(r, ()):
+            if ubs[ids[row + k]] == b:
+                for q in T:
+                    v = ids[q * n + k]
+                    if ubs[v] > b:
+                        store.tighten_ub(v, b)
+
+    def _separate(self, store: Store, i: int, k: int, b: int) -> None:
+        """ub(i, k) fell to b: keep the depth-(b+1) clusters of i and k apart."""
+        low = self.low
+        if k not in low.get(i, ()):
+            low.setdefault(i, set()).add(k)
+            low.setdefault(k, set()).add(i)
+            self.log.append((i, k))
+        cid = self.cid[b + 1]
+        if cid is None:
+            return
+        n = self.matrix.n
+        ids = self.matrix.flat_ids
+        ubs = store.ubs
+        mem = self.members[b + 1]
+        for j in mem.get(cid[k], ()):
+            v = ids[i * n + j]
+            if ubs[v] > b:
+                store.tighten_ub(v, b)
+        for j in mem.get(cid[i], ()):
+            v = ids[j * n + k]
+            if ubs[v] > b:
+                store.tighten_ub(v, b)
 
 
 def post_um_matrix(engine: Engine, matrix: MrcaMatrix) -> UltrametricMatrix:
     """Register the single matrix propagator. It adds no per-cell state
-    to the engine: each wake picks the cells out of the changed variables."""
+    to the engine: its partitions are created as lower bounds reach
+    their depths."""
     p = UltrametricMatrix(matrix)
     engine.register(p)
     return p

@@ -387,7 +387,7 @@ def _ladder_fixpoint(n, mode, rng):
 
 
 @pytest.mark.parametrize("mode", ["hard", "soft"])
-@pytest.mark.parametrize("n", [100, 200])
+@pytest.mark.parametrize("n", [100, 200, 400])
 def test_confluence_at_ladder_sizes(n, mode):
     # the benchmark's forest shape: the default order and two random
     # orders reach byte-equal bounds

@@ -1,8 +1,6 @@
 import itertools
 import random
 import tracemalloc
-from functools import reduce
-from operator import or_
 from types import SimpleNamespace
 
 import pytest
@@ -242,18 +240,14 @@ def test_matrix_cells_are_one_row_major_block(n):
     row_major = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for v, (i, j) in zip(m.cell_vars, row_major, strict=True):
         assert m.cell(i, j) == m.cell(j, i) == v
-        assert tuple(m.pairs[v - m.cell_vars[0]].tolist()) == (i, j)
+        k = v - m.cell_vars[0]
+        assert (m.pairs[2 * k], m.pairs[2 * k + 1]) == (i, j)
     assert (m.cell_ids == m.cell_ids.T).all()
     assert all(s.domain(v) == (1, n - 1) for v in m.cell_vars)
-    if n < 2:
-        return
-    # row_pairs puts cell(r, k) at slot k of row r, and the cell itself at
-    # the slots of its own pair
-    x, ids = m.row_pairs(list(m.cell_vars))
-    assert x.tolist() == list(m.cell_vars)
-    for v, (i, j), rows in zip(m.cell_vars, row_major, ids.tolist(), strict=True):
-        for r, row in zip((i, j), rows):
-            assert row == [v if k in (i, j) else m.cell(r, k) for k in range(n)]
+    assert len(m.pairs) == 2 * len(m.cell_vars)
+    # the flat array the propagator indexes is the storage of cell_ids
+    m.cell_ids[...] += 1
+    assert list(m.flat_ids) == m.cell_ids.reshape(-1).tolist()
 
 
 def test_matrix_holds_no_per_cell_python_objects():
@@ -346,49 +340,64 @@ def test_matrix_propagator_is_single_and_registers_in_constant_space():
     assert isinstance(e.propagators[0], UltrametricMatrix)
 
 
-def test_matrix_wake_narrows_only_its_rows_like_the_triple_wakes():
-    # one event at cell (i, j) concerns exactly the n-2 triples
-    # (M_ij, M_ik, M_jk): from a fixpoint, one matrix wake narrows only
-    # cells of rows i and j and reaches the domains of one um3_wake per
-    # triple
-    narrowed = 0
-    for seed in range(120):
-        rng = random.Random(seed)
-        n = 12
-        s, e, m = _matrix_engine(n)
-        p = post_um_matrix(e, m)
-        for a in _random_atoms(list(m.labels), rng, rng.randint(2, 12)):
-            post_atom(e, m, a)
-        if e.propagate() is PropagateResult.FAILURE:
-            continue
-        i, j = rng.sample(range(n), 2)
-        x = m.cell(i, j)
-        lo, hi = s.domain(x)
-        if lo == hi:
-            continue
-        if rng.random() < 0.5:
-            ev = s.tighten_lb(x, rng.randint(lo + 1, hi))
-        else:
-            ev = s.tighten_ub(x, rng.randint(lo, hi - 1))
-        before = (list(s.lbs), list(s.ubs))
-        cp = s.checkpoint()
+def _perturbation(s, x, rng):
+    """A tighten that raises lb(x) or lowers ub(x) to a random value
+    inside its domain, as (method, var, value), or None if x is fixed."""
+    lo, hi = s.domain(x)
+    if lo == hi:
+        return None
+    if rng.random() < 0.5:
+        return Store.tighten_lb, x, rng.randint(lo + 1, hi)
+    return Store.tighten_ub, x, rng.randint(lo, hi - 1)
 
-        p.wake(s, {x: ev}, ev)
-        got = (s.failed, list(s.lbs), list(s.ubs))
-        s.restore(cp)
-        for k in range(n):
-            if k != i and k != j and not s.failed:
-                um3_wake(s, x, m.cell(i, k), m.cell(j, k), ev)
-        want = (s.failed, list(s.lbs), list(s.ubs))
-        assert got[0] == want[0], seed
-        if got[0]:
+
+def _cell_domains(s, m):
+    return [s.domain(v) for v in m.cell_vars]
+
+
+def test_matrix_wake_narrows_only_its_rows_like_the_triple_wakes():
+    # from a fixpoint, perturb one cell under an engine checkpoint: the
+    # matrix propagator reaches the fixpoint of the per-triple um3
+    # propagators on the same atoms. Each probe restores the checkpoint,
+    # which must rewind the propagator's clusters with the bounds, so the
+    # next probe from it agrees too
+    narrowed = failed = 0
+    for seed in range(50):
+        rng = random.Random(seed)
+        n = 9
+        atoms = _random_atoms([f"s{i}" for i in range(n)], rng, rng.randint(2, 9))
+        models = []
+        for decomposed in (False, True):
+            s, e, m = _matrix_engine(n)
+            if decomposed:
+                _decomposed(e, m)
+            else:
+                post_um_matrix(e, m)
+            for a in atoms:
+                post_atom(e, m, a)
+            models.append((s, e, m, e.propagate()))
+        if models[0][3] is PropagateResult.FAILURE:
+            assert models[1][3] is PropagateResult.FAILURE
             continue
-        assert got == want, seed
-        changed = {v for v in range(s.num_vars) if (got[1][v], got[2][v]) != (before[0][v], before[1][v])}
-        rows = {m.cell(i, k) for k in range(n) if k != i} | {m.cell(j, k) for k in range(n) if k != j}
-        assert changed <= rows
-        narrowed += bool(changed)
-    assert narrowed > 20  # the sample exercises narrowing wakes
+        start = _cell_domains(models[0][0], models[0][2])
+        assert _cell_domains(models[1][0], models[1][2]) == start
+        for _ in range(4):
+            x = rng.randrange(n * (n - 1) // 2)
+            probe = rng.random()
+            outcomes = []
+            for s, e, m, _ in models:
+                cp = e.checkpoint()
+                tighten = _perturbation(s, m.cell_vars[x], random.Random(probe))
+                if tighten:
+                    tighten[0](s, *tighten[1:])
+                res = e.propagate()
+                outcomes.append((res, _cell_domains(s, m) if res is PropagateResult.FIXPOINT else None))
+                e.restore(cp)
+                assert _cell_domains(s, m) == start
+            assert outcomes[0] == outcomes[1], seed
+            failed += outcomes[0][0] is PropagateResult.FAILURE
+            narrowed += outcomes[0][1] not in (None, start)
+    assert narrowed > 20 and failed > 0  # the sample exercises both outcomes
 
 
 def test_matrix_closed_forms_equal_um3_on_every_box_triple():
@@ -489,52 +498,54 @@ def test_sided_instances_cover_both_outcomes_and_upper_bound_rules(monkeypatch):
 
 
 def test_batch_wake_equals_merged_single_cell_wakes():
-    # from a fixpoint, perturb several cells at once: one wake over all of
-    # them reaches the pointwise merge (largest lb, smallest ub) of the
-    # single-cell wakes, each taken from the same snapshot
+    # from a fixpoint, perturb several cells at once under an engine
+    # checkpoint: one propagation over all of them reaches the fixpoint
+    # that perturbing them one at a time, each followed by propagation,
+    # reaches from the same checkpoint, and that of the reference row
+    # wake on the same atoms
     narrowed = failed = 0
     for seed in range(80):
         rng = random.Random(seed)
         n = 14
+        atoms = _random_atoms([f"s{i}" for i in range(n)], rng, rng.randint(2, 14))
         s, e, m = _matrix_engine(n)
-        p = post_um_matrix(e, m)
-        for a in _random_atoms(list(m.labels), rng, rng.randint(2, 14)):
+        post_um_matrix(e, m)
+        ref_s, ref_e, ref_m = _matrix_engine(n)
+        ref_e.register(RowWakeMatrix(ref_m))
+        for a in atoms:
             post_atom(e, m, a)
+            post_atom(ref_e, ref_m, a)
         if e.propagate() is PropagateResult.FAILURE:
+            assert ref_e.propagate() is PropagateResult.FAILURE
             continue
-        start = len(s.trail)
-        for x in rng.sample(m.cell_vars, rng.randint(2, 8)):
-            lo, hi = s.domain(x)
-            if lo < hi:
-                if rng.random() < 0.5:
-                    s.tighten_lb(x, rng.randint(lo + 1, hi))
-                else:
-                    s.tighten_ub(x, rng.randint(lo, hi - 1))
-        changed = {}
-        for x, ev, _ in s.trail[start:]:
-            changed[x] = changed.get(x, 0) | ev
-        if not changed:
+        assert ref_e.propagate() is PropagateResult.FIXPOINT
+        start = _cell_domains(s, m)
+        cells = rng.sample(range(len(m.cell_vars)), rng.randint(2, 8))
+        tightens = [t for x in cells if (t := _perturbation(s, m.cell_vars[x], rng))]
+        if not tightens:
             continue
-        snapshot = (list(s.lbs), list(s.ubs))
-        lbs, ubs = list(snapshot[0]), list(snapshot[1])
-        single_failed = False
-        for x, ev in changed.items():
-            cp = s.checkpoint()
-            p.wake(s, {x: ev}, ev)
-            single_failed |= s.failed
-            lbs = list(map(max, lbs, s.lbs))
-            ubs = list(map(min, ubs, s.ubs))
-            s.restore(cp)
-        cp = s.checkpoint()
-        p.wake(s, changed, reduce(or_, changed.values()))
-        merged_empty = any(map(int.__gt__, lbs, ubs))
-        assert s.failed == (single_failed or merged_empty), seed
-        if s.failed:
-            failed += 1
-            continue
-        assert (list(s.lbs), list(s.ubs)) == (lbs, ubs), seed
-        narrowed += (lbs, ubs) != snapshot
-        s.restore(cp)
+
+        def batch(s, e, m):
+            cp = e.checkpoint()
+            for tighten, x, val in tightens:
+                tighten(s, m.cell_vars[x - m.cell_vars[0]], val)
+            got = None if e.propagate() is PropagateResult.FAILURE else _cell_domains(s, m)
+            e.restore(cp)
+            assert _cell_domains(s, m) == start
+            return got
+
+        got = batch(s, e, m)
+        assert batch(ref_s, ref_e, ref_m) == got, seed
+        cp = e.checkpoint()
+        for tighten, x, val in tightens:
+            tighten(s, x, val)
+            if e.propagate() is PropagateResult.FAILURE:
+                break
+        single = None if s.failed else _cell_domains(s, m)
+        e.restore(cp)
+        assert single == got, seed
+        failed += got is None
+        narrowed += got not in (None, start)
     assert narrowed > 20 and failed > 0  # the sample exercises both outcomes
 
 
@@ -573,6 +584,141 @@ def test_batch_wakes_equal_the_reference_row_wakes_on_forests(seed, mode):
             assert got[0] == want[0]
             if not want[0]:
                 assert got == want
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+@pytest.mark.parametrize("n", [100, 200])
+def test_batch_wakes_equal_the_reference_row_wakes_at_ladder_sizes(n, mode):
+    # compatible forests of the benchmark's shape, where the clusters grow
+    # large: the default and one random wake order against the reference
+    trees = random_forest(n, 3, 0.25, random.Random(n))
+    want = _forest_fixpoint(trees, mode, True, None)
+    assert not want[0]
+    for queue in (None, random.Random(1)):
+        assert _forest_fixpoint(trees, mode, False, queue) == want
+
+
+def _clusters(p, d):
+    """Depth d of the propagator's hierarchy as a set of clusters, after
+    checking each cluster's member list against its cluster ids."""
+    cid = p.cid[d]
+    if cid is None:
+        return {frozenset([i]) for i in range(p.matrix.n)}
+    groups = {}
+    for i, c in enumerate(cid):
+        groups.setdefault(c, []).append(i)
+    for c, members in groups.items():
+        assert sorted(p.members[d].get(c) or [c]) == members, (d, c)
+    assert set(p.members[d]) <= set(groups), d
+    return {frozenset(g) for g in groups.values()}
+
+
+def _components_by_depth(lb, n):
+    """For every depth d >= 2, the components of the graph whose edges
+    are the cells with lb >= d (union-find, deepest edges first)."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edges = sorted(((lb[i][j], i, j) for i in range(n) for j in range(i + 1, n)), reverse=True)
+    out, e = {}, 0
+    for d in range(n - 1, 1, -1):
+        while e < len(edges) and edges[e][0] >= d:
+            _, i, j = edges[e]
+            parent[find(i)] = find(j)
+            e += 1
+        groups = {}
+        for i in range(n):
+            groups.setdefault(find(i), []).append(i)
+        out[d] = {frozenset(g) for g in groups.values()}
+    return out
+
+
+def _fresh_domains(labels, mode_atoms):
+    s = Store()
+    e = Engine(s)
+    m = MrcaMatrix(s, labels)
+    post_um_matrix(e, m)
+    for a in mode_atoms:
+        post_atom(e, m, a)
+    assert e.propagate() is PropagateResult.FIXPOINT
+    return _cell_domains(s, m)
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+@pytest.mark.parametrize("seed", range(3))
+def test_undo_log_rewinds_the_clusters_with_the_bounds(seed, mode):
+    # greedy-like probes on one engine: each checkpoints, posts an atom and
+    # propagates, then restores on failure or at random, and now and then
+    # a restore drops several kept probes at once. After every fixpoint
+    # and every restore, each depth's clusters are the components of
+    # lb >= d, the index of lowered cells is exact, and the bounds are
+    # those of a fresh model that posts only the kept atoms
+    rng = random.Random(seed)
+    n = (12, 25, 40)[seed]
+    trees = random_forest(n, 3, 0.25, rng)
+    labels = sorted({lab for t in trees for lab in leaf_labels(t)})
+    breakup = hard_breakup if mode == "hard" else soft_breakup
+    atoms = list(dict.fromkeys(a for t in trees for a in breakup(t)))
+    rng.shuffle(atoms)
+    cut = min(20, len(atoms) // 3)
+    base, rest = atoms[cut:], atoms[:cut]
+    # another resolution of a base atom's triple always fails
+    conflicts = []
+    for atom in rng.sample(base, 10):
+        x, y, z = atom.species
+        others = [Triple.of(x, y, z), Triple.of(x, z, y), Triple.of(y, z, x), Fan.of(x, y, z)]
+        conflicts.append(rng.choice([a for a in others if a != atom]))
+    probes = rest + conflicts
+    rng.shuffle(probes)
+
+    s = Store()
+    e = Engine(s)
+    m = MrcaMatrix(s, labels)
+    p = post_um_matrix(e, m)
+    for a in base:
+        post_atom(e, m, a)
+    assert e.propagate() is PropagateResult.FIXPOINT
+    kept = []  # (checkpoint, atom) per kept probe
+
+    def check(probe=()):
+        assert not s.failed
+        lb = m.lower_bounds().tolist()
+        components = _components_by_depth(lb, n)
+        for d in range(2, n):
+            assert _clusters(p, d) == components[d], d
+        lowered = {(i, k) for i in range(n) for k in range(n) if i != k and s.ubs[m.cell(i, k)] < n - 1}
+        assert {(i, k) for i, ks in p.low.items() for k in ks} == lowered
+        assert p.size() == len(p.log)
+        assert _cell_domains(s, m) == _fresh_domains(labels, base + [a for _, a in kept] + list(probe))
+
+    check()
+    failures = restores = 0
+    for t, atom in enumerate(probes):
+        cp = e.checkpoint()
+        post_atom(e, m, atom)
+        if e.propagate() is PropagateResult.FIXPOINT:
+            check([atom])
+            if rng.random() < 0.8:
+                kept.append((cp, atom))
+            else:
+                e.restore(cp)
+                check()
+        else:
+            failures += 1
+            e.restore(cp)
+            check()
+        if t % 5 == 4 and len(kept) > 1:
+            back = len(kept) // 2
+            e.restore(kept[back][0])
+            del kept[back:]
+            restores += 1
+            check()
+    assert failures and restores and kept
 
 
 # -- delayed disjunction demonstrator -------------------------------------------
