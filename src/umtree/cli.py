@@ -21,6 +21,7 @@ from .generate import random_forest
 from .phylo import (
     NewickParseError,
     displays,
+    iter_nodes,
     parse_atom,
     parse_newick_many,
     serialize_newick,
@@ -62,13 +63,15 @@ def _load_forest(paths) -> Forest:
 
 
 def _load_species_forest(paths) -> Forest:
-    """The forest of a command that reads every leaf as a species. Only
-    `build` resolves a leaf that names an enclosing taxon, so here a
-    label on both a leaf and an internal node is an error."""
+    """The forest of a command that reads every leaf as a species and
+    applies no ranks. Only `build` resolves enclosing taxa and ranks, so
+    here a label on a leaf and an internal node, or a rank, is an error."""
     forest = _load_forest(paths)
     both = sorted(set(forest.taxa).intersection(forest.species))
     if both:
         raise ValueError(f"taxon {both[0]!r} also labels a leaf; only build resolves enclosing taxa")
+    if any(nd.rank is not None for t in forest.trees for nd in iter_nodes(t)):
+        raise ValueError("the forest has a ranked internal node; only build applies ranks")
     return forest
 
 

@@ -4,10 +4,10 @@ The store's trail is the only event queue. Every propagator keeps one
 cursor into it, `seen`, the trail position it has read up to, and it is
 due exactly while its cursor is behind the end of the trail. The engine
 wakes due propagators until none is due (fixpoint) or the store fails.
-A woken propagator receives the records it has not read yet, coalesced
-per variable, and its cursor moves to the end of the trail; the records
-its own wake appends make it due again, so a propagator can re-wake
-itself. The engine keeps no subscriptions: a model holds a handful of
+A woken propagator reads its unread records straight off the trail, in
+order and with repeats, and its cursor moves to the end of the trail;
+the records its own wake appends make it due again, so a propagator
+can re-wake itself. The engine keeps no subscriptions: a model holds a handful of
 propagators, and each reads an event through its own index of the
 variables it concerns, ignoring the rest.
 Propagators have two levels: one of the deferred level (the costly
@@ -43,10 +43,10 @@ class RunStats:
 class Propagator:
     """Base class: narrows domains when woken by domain events.
 
-    Subclasses implement wake(store, changed, events), which returns
-    nothing and may only narrow domains. `changed` maps every variable
-    that changed since the propagator's last wake to its coalesced event
-    mask, and `events` is the union of those masks; a propagator skips
+    Subclasses implement wake(store, start, end), which returns nothing
+    and may only narrow domains. It reads `store.trail[start:end]`, the
+    records added since its last wake, one per narrowing and each with
+    exactly one of `Event.MIN` and `Event.MAX`, and skips the records of
     the variables it does not concern.
 
     `register` does not wake: a propagator starts with its cursor `seen`
@@ -70,7 +70,7 @@ class Propagator:
 
     LEVEL = 0
 
-    def wake(self, store: Store, changed: dict[int, int], events: int) -> None:
+    def wake(self, store: Store, start: int, end: int) -> None:
         raise NotImplementedError
 
     def size(self) -> int:
@@ -90,8 +90,8 @@ class EngineCheckpoint:
 class Engine:
     """One scheduler per store. Not shared across threads.
 
-    Each wake is one count in `RunStats.wakes`, however many variables
-    changed. Among the due propagators the engine wakes one of the lowest
+    Each wake is one count in `RunStats.wakes`, however many records it
+    reads. Among the due propagators the engine wakes one of the lowest
     `LEVEL`, and within a level the one with the smallest cursor, the one
     that has waited longest. `rng`, when given, draws uniformly among all
     due propagators of both levels instead; the fixpoint is the same for
@@ -136,14 +136,9 @@ class Engine:
                 p = min(due, key=lambda q: (q.LEVEL, q.seen))
             else:
                 p = due[rng.randrange(len(due))]
-            changed: dict[int, int] = {}
-            events = 0
-            for var, ev, _ in trail[p.seen:end]:
-                changed[var] = changed.get(var, 0) | ev
-                events |= ev
-            p.seen = end
+            start, p.seen = p.seen, end
             stats.wakes += 1
-            p.wake(store, changed, events)
+            p.wake(store, start, end)
         stats.failures += 1
         return PropagateResult.FAILURE
 

@@ -14,10 +14,10 @@ each row under the variables whose bound moves can make it narrow:
 `after_min[v]` lists the rows whose lower-bound rule reads lb(v) and
 `after_max[v]` those whose upper-bound rule reads ub(v). `post` applies
 a row in full to the current bounds; from then on a wake applies, for
-each changed variable, only the rows indexed under the bound that moved.
-Every table reads every event, and a wake skips the variables that no
-row is indexed under. Restoring an engine checkpoint drops the rows
-posted since. The three kinds stay three classes, each with its
+each trail record it reads, only the rows indexed under the bound that
+moved. Every table reads every record, and a wake skips the variables
+that no row is indexed under. Restoring an engine checkpoint drops the
+rows posted since. The three kinds stay three classes, each with its
 own `wake`, because `perfbench/tracing.py` times the wakes of each
 class by name.
 """
@@ -30,7 +30,6 @@ from .phylo import Fan, Triple
 from .ultrametric import MrcaMatrix
 
 _MIN = Event.MIN
-_MAX = Event.MAX
 
 Row = tuple[int, ...]
 
@@ -109,18 +108,19 @@ class _Order(_Table):
         if ubs[a] > ubs[b] - d:
             store.tighten_ub(a, ubs[b] - d)
 
-    def _apply_events(self, store: Store, changed: dict[int, int]) -> None:
+    def _apply_events(self, store: Store, start: int, end: int) -> None:
         d = self.OFFSET
         lbs, ubs = store.lbs, store.ubs
         tighten_lb, tighten_ub = store.tighten_lb, store.tighten_ub
         after_min, after_max = self.after_min, self.after_max
-        for v, ev in changed.items():
-            if ev & _MIN and v in after_min:
-                lo = lbs[v] + d
-                for _, b in after_min[v]:
-                    if lbs[b] < lo:
-                        tighten_lb(b, lo)
-            if ev & _MAX and v in after_max:
+        for v, ev, _ in store.trail[start:end]:
+            if ev == _MIN:
+                if v in after_min:
+                    lo = lbs[v] + d
+                    for _, b in after_min[v]:
+                        if lbs[b] < lo:
+                            tighten_lb(b, lo)
+            elif v in after_max:
                 hi = ubs[v] - d
                 for a, _ in after_max[v]:
                     if ubs[a] > hi:
@@ -134,8 +134,8 @@ class Less(_Order):
 
     OFFSET = 1
 
-    def wake(self, store: Store, changed: dict[int, int], events: int) -> None:
-        self._apply_events(store, changed)
+    def wake(self, store: Store, start: int, end: int) -> None:
+        self._apply_events(store, start, end)
 
 
 class LessEq(_Order):
@@ -143,8 +143,8 @@ class LessEq(_Order):
 
     __slots__ = ()
 
-    def wake(self, store: Store, changed: dict[int, int], events: int) -> None:
-        self._apply_events(store, changed)
+    def wake(self, store: Store, start: int, end: int) -> None:
+        self._apply_events(store, start, end)
 
 
 class Equal(_Table):
@@ -163,18 +163,19 @@ class Equal(_Table):
             if ubs[u] > hi:
                 store.tighten_ub(u, hi)
 
-    def wake(self, store: Store, changed: dict[int, int], events: int) -> None:
+    def wake(self, store: Store, start: int, end: int) -> None:
         lbs, ubs = store.lbs, store.ubs
         tighten_lb, tighten_ub = store.tighten_lb, store.tighten_ub
         after_min, after_max = self.after_min, self.after_max
-        for v, ev in changed.items():
-            if ev & _MIN and v in after_min:
-                lo = lbs[v]
-                for group in after_min[v]:
-                    for u in group:
-                        if lbs[u] < lo:
-                            tighten_lb(u, lo)
-            if ev & _MAX and v in after_max:
+        for v, ev, _ in store.trail[start:end]:
+            if ev == _MIN:
+                if v in after_min:
+                    lo = lbs[v]
+                    for group in after_min[v]:
+                        for u in group:
+                            if lbs[u] < lo:
+                                tighten_lb(u, lo)
+            elif v in after_max:
                 hi = ubs[v]
                 for group in after_max[v]:
                     for u in group:

@@ -29,7 +29,6 @@ from .engine import Engine, Propagator
 from .store import Event, Store
 
 _MIN = Event.MIN
-_MAX = Event.MAX
 
 
 class MrcaMatrix:
@@ -48,7 +47,7 @@ class MrcaMatrix:
     cell variables, a numpy view of `flat_ids` (slot i * n + j); the
     diagonal slots hold 0, a placeholder that every reader overwrites.
     `pairs` and `flat_ids` are `array("q")`s, which the matrix
-    propagator indexes one slot at a time at list speed.
+    propagator indexes one slot at a time.
     """
 
     __slots__ = ("store", "labels", "n", "index", "cell_vars", "cell_ids", "flat_ids", "pairs")
@@ -105,17 +104,17 @@ class UltrametricMatrix(Propagator):
     is the whole species set. The partitions are nested: a cluster at d
     lies inside one at d - 1.
 
-    A MIN event at cell (i, j) with lb a joins the clusters of i and j
-    at every depth d = a, a-1, ... down to the first where they already
-    share one: it raises to d every cell between the two clusters that
-    is still below d, then merges them, the smaller into the larger. A
-    cell whose species already share a cluster at depth a costs one
-    comparison.
+    A MIN record of cell (i, j), whose lb is now a, joins the clusters
+    of i and j at every depth d = a, a-1, ... down to the first where
+    they already share one: it raises to d every cell between the two
+    clusters that is still below d, then merges them, the smaller into
+    the larger. A cell whose species already share a cluster at depth a
+    costs one comparison.
 
     In cluster form the upper-bound rule reads: a cell (i, k) with ub b
     keeps the depth-(b+1) clusters of i and k apart, so ub(j, k) <= b
     for every j in i's cluster and ub(i, j) <= b for every j in k's.
-    A MAX event applies it to its cell, and a merge at depth d applies
+    A MAX record applies it to its cell, and a merge at depth d applies
     it to the cells with ub d-1 of one member of each merged cluster,
     found through `low`, the sparse index of the cells whose ub fell
     below n-1 (`low[i]` holds each such k for species i). The cells it
@@ -124,8 +123,8 @@ class UltrametricMatrix(Propagator):
     Each merge and each cell added to `low` appends one entry to `log`:
     `size()` is its length, and `truncate` pops entries and undoes them,
     so an engine restore rewinds the clusters with the bounds. A wake
-    does work in proportion to its changed cells, the bounds it narrows
-    and the clusters it merges.
+    does work in proportion to the records it reads, the bounds it
+    narrows and the clusters it merges.
 
     Registering it needs no wake: cells are constructed at [1, n-1],
     which is already bounds-consistent (all-equal tuples support every
@@ -170,24 +169,24 @@ class UltrametricMatrix(Propagator):
                     cid[x] = small
                 self.members[d][small] = moved
 
-    def wake(self, store: Store, changed: dict[int, int], events: int) -> None:
+    def wake(self, store: Store, start: int, end: int) -> None:
         mat = self.matrix
         lo, hi = mat.cell_vars.start, mat.cell_vars.stop
         pairs = mat.pairs
         lbs, ubs = store.lbs, store.ubs
         cids = self.cid
-        for v, ev in changed.items():
+        for v, ev, _ in store.trail[start:end]:
             if lo <= v < hi:
                 k = 2 * (v - lo)
                 i, j = pairs[k], pairs[k + 1]
-                if ev & _MIN:
+                if ev == _MIN:
                     a = lbs[v]
                     cid = cids[a]
                     if cid is None or cid[i] != cid[j]:
                         self._join(store, i, j, a)
                         if store.failed:
                             return
-                if ev & _MAX:
+                else:
                     self._separate(store, i, j, ubs[v])
                     if store.failed:
                         return

@@ -98,14 +98,15 @@ def all_boxes(max_value: int) -> list[Box]:
     return [(lo, hi) for lo in range(max_value + 1) for hi in range(lo, max_value + 1)]
 
 
-def post_woken(engine: Engine, p: Propagator, vars_: Iterable[int]) -> Propagator:
-    """Register p and wake it once on its variables. `register` does not
-    wake, so a per-atom propagator makes itself consistent when it is
-    posted, as a relation table does with each row."""
+def post_woken(engine: Engine, p: Propagator) -> Propagator:
+    """Register p and wake it once over an empty range of records.
+    `register` does not wake, so a per-atom propagator that filters
+    whatever records it reads makes itself consistent when it is posted,
+    as a relation table does with each row."""
     engine.register(p)
     if not engine.store.failed:
-        both = Event.MIN | Event.MAX
-        p.wake(engine.store, dict.fromkeys(vars_, both), both)
+        end = len(engine.store.trail)
+        p.wake(engine.store, end, end)
     return p
 
 
@@ -177,8 +178,8 @@ class UltrametricThree(Propagator):
     """Bounds-consistency propagator for one variable triple, the
     reference for the matrix propagator.
 
-    A wake filters by the union of the events of its three variables;
-    the other variables' events leave it idle.
+    A wake filters by the union of the events in its three variables'
+    records; the other variables' records leave it idle.
     """
 
     __slots__ = ("x", "y", "z")
@@ -189,14 +190,23 @@ class UltrametricThree(Propagator):
         super().__init__()
         self.x, self.y, self.z = x, y, z
 
-    def wake(self, store: Store, changed: dict[int, int], events: int) -> None:
+    def wake(self, store: Store, start: int, end: int) -> None:
         x, y, z = self.x, self.y, self.z
-        own = changed.get(x, 0) | changed.get(y, 0) | changed.get(z, 0)
+        own = 0
+        for v, ev, _ in store.trail[start:end]:
+            if v == x or v == y or v == z:
+                own |= ev
         um3_wake(store, x, y, z, own)
 
 
 def post_um3(engine: Engine, x: int, y: int, z: int) -> UltrametricThree:
-    return post_woken(engine, UltrametricThree(x, y, z), (x, y, z))
+    """Register the triple's propagator and apply both of its filters
+    once, which makes it consistent before any record reaches it."""
+    p = UltrametricThree(x, y, z)
+    engine.register(p)
+    if not engine.store.failed:
+        um3_wake(engine.store, x, y, z, Event.MIN | Event.MAX)
+    return p
 
 
 # -- weak disjunctive encoding ------------------------------------------------------
@@ -210,7 +220,7 @@ class DelayedDisjunctionUm3(Propagator):
     filtered until at most one disjunct remains bound-feasible. It
     reproduces the non-pruning behaviour that motivates the specialised
     propagator (criterion 01). A wake re-checks every disjunct, whichever
-    variables changed.
+    records it reads.
     """
 
     __slots__ = ("x", "y", "z")
@@ -226,7 +236,7 @@ class DelayedDisjunctionUm3(Propagator):
         hi = min(store.ubs[u], store.ubs[v])
         return lo <= hi and store.ubs[top] >= lo + 1
 
-    def wake(self, store: Store, changed: dict[int, int], events: int) -> None:
+    def wake(self, store: Store, start: int, end: int) -> None:
         x, y, z = self.x, self.y, self.z
         lbs, ubs = store.lbs, store.ubs
         feas = [
@@ -258,22 +268,22 @@ class DelayedDisjunctionUm3(Propagator):
 
 
 def post_delayed_disjunction_um3(engine: Engine, x: int, y: int, z: int) -> DelayedDisjunctionUm3:
-    return post_woken(engine, DelayedDisjunctionUm3(x, y, z), (x, y, z))
+    return post_woken(engine, DelayedDisjunctionUm3(x, y, z))
 
 
 # -- reference matrix propagator -----------------------------------------------
 
 
 class RowWakeMatrix(Propagator):
-    """The matrix propagator as one scalar row wake per changed cell.
+    """The matrix propagator as one scalar row wake per cell record.
 
     The same closed forms as `UltrametricMatrix`, applied one cell at a
     time over rows i and j with list reads and a Python loop over the
     slots they flag, each cell reading the bounds its predecessors left.
-    Like `UltrametricMatrix`, a wake keeps only the changed variables
-    inside the matrix's cell block. Posting it in place of the matrix
-    propagator must reach the same fixpoint. Its rows and its cell -> pair
-    map are built from `matrix.cell`, whose numbering
+    Like `UltrametricMatrix`, a wake reads its trail records in order
+    and keeps only those of the matrix's cell block. Posting it in place
+    of the matrix propagator must reach the same fixpoint. Its rows and
+    its cell -> pair map are built from `matrix.cell`, whose numbering
     `test_matrix_cells_are_one_row_major_block` pins, and not from
     `pairs`, the inverse the wake reads, so a fault there is not shared.
     """
@@ -291,21 +301,21 @@ class RowWakeMatrix(Propagator):
         self.pair_of = {matrix.cell(i, j): (i, j) for i in range(n) for j in range(i + 1, n)}
         self.row_bounds = [itemgetter(*row) for row in self.rows]
 
-    def wake(self, store, changed, events):
-        for var, ev in changed.items():
+    def wake(self, store, start, end):
+        for var, ev, _ in store.trail[start:end]:
             if var in self.pair_of:
                 self.row_wake(store, var, ev)
                 if store.failed:
                     break
 
-    def row_wake(self, store, var, events):
+    def row_wake(self, store, var, ev):
         i, j = self.pair_of[var]
         row_i, row_j = self.row_bounds[i], self.row_bounds[j]
         ids_u, ids_w = self.rows[i], self.rows[j]
         lbs, ubs = store.lbs, store.ubs
         a, A = lbs[var], ubs[var]
         lu, lw = row_i(lbs), row_j(lbs)
-        if events & Event.MIN:
+        if ev == Event.MIN:
             # lb(u) >= min(lb(x), lb(w)) and lb(w) >= min(lb(x), lb(u))
             mask = list(map(ne, lu, lw))
             mask[i] = mask[j] = False
@@ -332,7 +342,7 @@ class RowWakeMatrix(Propagator):
                         store.tighten_ub(ids_u[k], q)
                 if store.failed:
                     return
-        if events & Event.MAX and (max(lu) > A or max(lw) > A):
+        elif max(lu) > A or max(lw) > A:
             # lb(w) > ub(x) makes x = u the tied minimum: ub(u) <= ub(x)
             for k in range(len(lu)):
                 if k != i and k != j:
@@ -360,7 +370,7 @@ class ScalarLess(Propagator):
         super().__init__()
         self.a, self.b = a, b
 
-    def wake(self, store, changed, events):
+    def wake(self, store, start, end):
         a, b = self.a, self.b
         store.tighten_lb(b, store.lbs[a] + 1)
         store.tighten_ub(a, store.ubs[b] - 1)
@@ -375,7 +385,7 @@ class ScalarLessEq(Propagator):
         super().__init__()
         self.a, self.b = a, b
 
-    def wake(self, store, changed, events):
+    def wake(self, store, start, end):
         a, b = self.a, self.b
         store.tighten_lb(b, store.lbs[a])
         store.tighten_ub(a, store.ubs[b])
@@ -390,7 +400,7 @@ class ScalarEqual(Propagator):
         super().__init__()
         self.vars = vars_
 
-    def wake(self, store, changed, events):
+    def wake(self, store, start, end):
         vs = self.vars
         lo = max(map(store.lbs.__getitem__, vs))
         hi = min(map(store.ubs.__getitem__, vs))
@@ -400,11 +410,11 @@ class ScalarEqual(Propagator):
 
 
 def post_scalar_lt(engine, a, b):
-    post_woken(engine, ScalarLess(a, b), (a, b))
+    post_woken(engine, ScalarLess(a, b))
 
 
 def post_scalar_le(engine, a, b):
-    post_woken(engine, ScalarLessEq(a, b), (a, b))
+    post_woken(engine, ScalarLessEq(a, b))
 
 
 def post_scalar_atom(engine, matrix, atom):
@@ -413,11 +423,11 @@ def post_scalar_atom(engine, matrix, atom):
     cell = matrix.cell_by_label
     if isinstance(atom, Triple):
         xz, xy, yz = cell(atom.x, atom.z), cell(atom.x, atom.y), cell(atom.y, atom.z)
-        post_woken(engine, ScalarLess(xz, xy), (xz, xy))
-        post_woken(engine, ScalarEqual(xz, yz), (xz, yz))
+        post_woken(engine, ScalarLess(xz, xy))
+        post_woken(engine, ScalarEqual(xz, yz))
     else:
         xy, xz, yz = cell(atom.x, atom.y), cell(atom.x, atom.z), cell(atom.y, atom.z)
-        post_woken(engine, ScalarEqual(xy, xz, yz), (xy, xz, yz))
+        post_woken(engine, ScalarEqual(xy, xz, yz))
 
 
 # -- test forest helpers -------------------------------------------------------------

@@ -344,3 +344,20 @@ def test_enclosing_taxon_leaf_is_an_error_outside_build(tmp_path, capsys, argv):
     assert out == "" and "'T'" in err
     assert main(["breakup", nest]) == 0
     assert capsys.readouterr().out == "(a,b)c\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["greedy"], ["necessity", "--atom", "(a,b)c"], ["explain"], ["enumerate"]],
+    ids=["greedy", "necessity", "explain", "enumerate"],
+)
+def test_ranked_forest_is_an_error_outside_build(tmp_path, capsys, argv):
+    # only build applies ranks: on this forest it exits 1, and the other
+    # commands, which would ignore the ranks, must not answer as if it
+    # were compatible
+    ranked = _write(tmp_path, "ranked.nwk", "((a,b)#2,c)#1;\n((a,b)#3,d)#1;\n")
+    assert main(["build", ranked]) == 1
+    capsys.readouterr()
+    assert main([argv[0], ranked, *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "ranked" in err and "build" in err

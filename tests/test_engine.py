@@ -9,6 +9,7 @@ from umtree import (
     PropagateResult,
     Store,
     hard_breakup,
+    leaf_labels,
     post_atom,
     post_eq2,
     post_lt,
@@ -19,7 +20,7 @@ from umtree import (
 from umtree.engine import Propagator
 from umtree.store import Event
 
-from oracles import ScalarLess, post_um3
+from oracles import ScalarLess, post_um3, swap_leaves, um3_wake
 
 
 def _due_first_level(engine):
@@ -55,9 +56,9 @@ class _CountingLess(ScalarLess):
         super().__init__(a, b)
         self.wakes = 0
 
-    def wake(self, store, changed, events):
+    def wake(self, store, start, end):
         self.wakes += 1
-        super().wake(store, changed, events)
+        super().wake(store, start, end)
 
 
 def test_two_propagators_on_same_var_both_wake():
@@ -155,7 +156,7 @@ class _SelfRewaker(Propagator):
         super().__init__()
         self.v, self.target, self.wakes = v, target, 0
 
-    def wake(self, store, var, events):
+    def wake(self, store, start, end):
         self.wakes += 1
         if store.lbs[self.v] < self.target:
             store.tighten_lb(self.v, store.lbs[self.v] + 1)
@@ -188,7 +189,7 @@ def test_search_nodes_zero_for_pure_propagation():
 
 
 def test_fixpoint_is_globally_stable():
-    # no um3 propagator, woken by hand with every variable, can narrow any
+    # no um3 triple, filtered by hand on both bounds, can narrow any
     # further, and every row of the < table holds on both bounds
     from umtree.relations import Less
 
@@ -209,7 +210,7 @@ def test_fixpoint_is_globally_stable():
                 for a, b in p.rows:
                     assert s.lb(b) >= s.lb(a) + 1 and s.ub(a) <= s.ub(b) - 1
                 continue
-            p.wake(s, dict.fromkeys(range(s.num_vars), Event.MIN | Event.MAX), Event.MIN | Event.MAX)
+            um3_wake(s, p.x, p.y, p.z, Event.MIN | Event.MAX)
             assert not s.failed
         assert (list(s.lbs), list(s.ubs)) == snapshot
         assert all(p.seen == len(s.trail) for p in e.propagators)
@@ -244,8 +245,8 @@ class _Recorder(Propagator):
     def __init__(self):
         self.received = []
 
-    def wake(self, store, changed, events):
-        self.received.extend(changed.items())
+    def wake(self, store, start, end):
+        self.received.extend((v, ev) for v, ev, _ in store.trail[start:end])
 
 
 def test_registered_propagator_never_receives_earlier_records():
@@ -295,7 +296,7 @@ def test_restore_rewinds_cursors_past_records_read_after_the_checkpoint():
     assert p.seen == len(s.trail) == 0
     s.tighten_ub(v, 6)  # lands on the trail positions the undone records held
     assert e.propagate() is PropagateResult.FIXPOINT
-    assert p.received == [(v, Event.MIN | Event.MAX), (v, Event.MAX)]
+    assert p.received == [(v, Event.MIN), (v, Event.MAX), (v, Event.MAX)]
 
 
 def test_engine_restore_unregisters():
@@ -327,7 +328,7 @@ class _Late(Propagator):
     def __init__(self, engine):
         self.engine, self.due = engine, []
 
-    def wake(self, store, changed, events):
+    def wake(self, store, start, end):
         self.due.append(_due_first_level(self.engine))
 
 
@@ -361,9 +362,9 @@ def test_matrix_wakes_once_the_relations_are_at_their_fixpoint(monkeypatch):
     due = []
     wake = UltrametricMatrix.wake
 
-    def recording_wake(self, store, changed, events):
+    def recording_wake(self, store, start, end):
         due.append(_due_first_level(engine))
-        return wake(self, store, changed, events)
+        return wake(self, store, start, end)
 
     monkeypatch.setattr(UltrametricMatrix, "wake", recording_wake)
     model = build_model(Forest.from_trees(random_forest(30, 3, 0.25, random.Random(3))), "hard")
@@ -372,8 +373,13 @@ def test_matrix_wakes_once_the_relations_are_at_their_fixpoint(monkeypatch):
     assert len(due) > 1 and not any(due)
 
 
-def _ladder_fixpoint(n, mode, rng):
-    forest = Forest.from_trees(random_forest(n, 3, 0.25, random.Random(0)))
+def _ladder_fixpoint(n, mode, rng, swap_seed=None):
+    """Propagate the ladder forest of size n; with `swap_seed`, two leaves
+    of its first tree, drawn with that seed, are swapped first."""
+    trees = random_forest(n, 3, 0.25, random.Random(0))
+    if swap_seed is not None:
+        trees[0] = swap_leaves(trees[0], *random.Random(swap_seed).sample(sorted(leaf_labels(trees[0])), 2))
+    forest = Forest.from_trees(trees)
     s = Store()
     e = Engine(s, rng=rng)
     m = MrcaMatrix(s, forest.species)
@@ -395,3 +401,11 @@ def test_confluence_at_ladder_sizes(n, mode):
     assert want[0] is PropagateResult.FIXPOINT
     for qseed in (1, 2):
         assert _ladder_fixpoint(n, mode, random.Random(qseed)) == want
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_failure_is_confluent_on_a_swapped_ladder_forest(mode):
+    # the n=100 ladder forest with two leaves of its first tree swapped
+    # is incompatible: the default order and two random orders all fail
+    for rng in (None, random.Random(1), random.Random(2)):
+        assert _ladder_fixpoint(100, mode, rng, swap_seed=2) == (PropagateResult.FAILURE, None)

@@ -413,6 +413,31 @@ def test_explain_conflict_minimality_random():
             assert _probe_atoms_consistent([a for a in core.atoms if a != drop])
 
 
+def test_explain_core_is_minimal_under_build_at_size():
+    # BUILD judges explain's core independently of the propagator: the
+    # core is incompatible, and dropping any one atom makes it compatible.
+    # Leaf-swapped forests of 20-40 species, binary on even seeds and
+    # multifurcating on odd ones, in both modes; only the forests BUILD
+    # calls incompatible count, until 20 cores are checked
+    checked = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        trees = random_forest(rng.randint(20, 40), 3, 0.25, rng, binary=seed % 2 == 0)
+        trees[0] = swap_leaves(trees[0], *rng.sample(sorted(leaf_labels(trees[0])), 2))
+        forest = Forest.from_trees(trees)
+        for mode in ("hard", "soft"):
+            if build_compatible(build_model(forest, mode, post_atoms=False).atoms, forest.species):
+                continue
+            core = explain_conflict(forest, mode).atoms
+            assert not build_compatible(core, forest.species)
+            for drop in core:
+                assert build_compatible([a for a in core if a != drop], forest.species)
+            checked += 1
+        if checked >= 20:
+            break
+    assert checked >= 20
+
+
 def test_explain_conflict_on_compatible_is_usage_error():
     with pytest.raises(PreconditionError):
         explain_conflict(_forest("((a,b),c);"), "soft")

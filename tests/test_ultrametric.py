@@ -484,10 +484,10 @@ def test_sided_instances_cover_both_outcomes_and_upper_bound_rules(monkeypatch):
     lowered = 0
     wake = UltrametricMatrix.wake
 
-    def counting_wake(self, store, changed, events):
+    def counting_wake(self, store, start, end):
         nonlocal lowered
         before = list(store.ubs)
-        outcome = wake(self, store, changed, events)
+        outcome = wake(self, store, start, end)
         lowered += sum(map(int.__lt__, store.ubs, before))
         return outcome
 
