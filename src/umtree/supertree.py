@@ -6,8 +6,9 @@ propagator, and propagated to fixpoint. The lower bounds then form a
 solution, so building a supertree needs no search. On the same model we
 answer necessity queries, tolerate conflicting inputs greedily, extract
 minimal conflicting atom sets, apply rank/date side constraints, encode
-nested taxa, and enumerate all supertree topologies by depth-first
-search with propagation.
+nested taxa, and list every supertree topology once, by a depth-first
+search that branches on whether two species' clusters merge at the next
+depth.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .engine import Engine, EngineCheckpoint, PropagateResult
+from .engine import Engine, PropagateResult
 from .phylo import (
     Atom,
     Fan,
@@ -24,7 +25,7 @@ from .phylo import (
     Triple,
     UltrametricIntMatrix,
     atom_holds,
-    canonical_form,
+    canonical_form,  # unused here: perfbench/tracing.py wraps this module attribute
     clusters,
     fold,
     hard_breakup,
@@ -136,7 +137,8 @@ SideConstraint = Predates | DateBounds | RankAssign
 
 
 class SupertreeModel:
-    """Store, engine and matrix for one forest, plus `atoms`: each
+    """Store, engine, matrix and its propagator (`ultrametric`) for one
+    forest, plus `atoms`: each
     deduplicated atom of the breakup, in first-seen order, maps to the
     indices of its source trees. Nested-taxa rows live in the tables."""
 
@@ -150,7 +152,7 @@ class SupertreeModel:
         self.matrix = MrcaMatrix(self.store, forest.species)
         self.atoms: dict[Atom, list[int]] = {}
         self.taxa_vars: dict[str, int] = {}
-        post_um_matrix(self.engine, self.matrix)
+        self.ultrametric = post_um_matrix(self.engine, self.matrix)
 
     @property
     def n(self) -> int:
@@ -524,12 +526,20 @@ def attach_labels(
 
 
 def enumerate_supertrees(model: SupertreeModel, limit: int) -> list[PhyloTree]:
-    """All supertree topologies, deduplicated, up to `limit` of them.
+    """Every supertree topology, each once, up to `limit` of them.
 
-    Depth-first search branching on the unfixed cell with the smallest
-    domain, values tried lower bound first, propagating after each
-    assignment. Distinct depth labellings of the same topology collapse
-    to one result. The first tree found is cp_build's answer.
+    A topology has one tight labelling: every internal node sits one
+    level below its parent, and the root at 1. The search lists the
+    tight labellings that propagate. At a fixpoint, let d be the least
+    lb of an unfixed cell; every cell below d is fixed, so the clusters
+    down to depth d are final. A node whose final cluster of two or more
+    species is still one cluster a level deeper is not tight and is
+    pruned. Otherwise it branches on an unfixed cell (i, j) at lb d:
+    first i and j apart at d + 1 (ub d), then together (lb d + 1). The
+    branches split the labellings, so no topology is reached twice. The
+    apart-first path never raises an lb, so the first tree is
+    cp_build's. The search is depth-first without recursion and leaves
+    the model at its first fixpoint; each child is one search node.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
@@ -537,48 +547,42 @@ def enumerate_supertrees(model: SupertreeModel, limit: int) -> list[PhyloTree]:
     store = model.store
     if engine.propagate() is PropagateResult.FAILURE:
         return []
+    root = engine.checkpoint()
     cells = model.matrix.cell_vars
     lbs, ubs = store.lbs, store.ubs
+    deepest = model.n - 1  # no cell has an lb above it, and one at it is fixed
     out: list[PhyloTree] = []
-    seen: set[str] = set()
-    branches: list[list[int]] = []  # open search nodes: [cell, next value, last value]
-    checkpoints: list[EngineCheckpoint] = []  # one per open child, taken before its assignment
+    pending = []  # (checkpoint, cell, d) of each open node whose together child is next
 
-    def expand() -> bool:
-        """At a fixpoint: open a branch on the narrowest unfixed cell, or
-        record the tree when every cell is fixed."""
-        best = -1
-        best_width = 0
+    def expand() -> tuple[int, int] | None:
+        """At a fixpoint: the cell and depth to branch on, or None after
+        pruning the node or recording its tree."""
+        best, d = -1, deepest
         for v in cells:
-            w = ubs[v] - lbs[v]
-            if w > 0 and (best < 0 or w < best_width):
-                best, best_width = v, w
-        if best >= 0:
-            branches.append([best, lbs[best], ubs[best]])
-            return True
-        tree = matrix_to_tree(model.lb_matrix())
-        key = canonical_form(tree)
-        if key not in seen:
-            seen.add(key)
-            out.append(tree)
-        return False
+            lb = lbs[v]
+            if lb < d and lb < ubs[v]:
+                best, d = v, lb
+        if model.ultrametric.unsplit(d):
+            return None
+        if best < 0:
+            out.append(matrix_to_tree(model.lb_matrix()))
+            return None
+        return best, d
 
-    expand()
-    while branches:  # depth-first, no recursion: a search may fix every cell in turn
-        branch = branches[-1]
-        cell, val, hi = branch
-        if val > hi or len(out) >= limit:
-            branches.pop()
-            if checkpoints:
-                engine.restore(checkpoints.pop())
-            continue
-        branch[1] = val + 1
-        checkpoints.append(engine.checkpoint())
+    branch = expand()
+    while branch is not None or (pending and len(out) < limit):
         engine.stats.search_nodes += 1
-        store.assign(cell, val)
-        if not (engine.propagate() is PropagateResult.FIXPOINT and expand()):
-            engine.restore(checkpoints.pop())
-    return out[:limit]
+        if branch is not None:
+            cell, d = branch
+            pending.append((engine.checkpoint(), cell, d))
+            store.tighten_ub(cell, d)
+        else:
+            cp, cell, d = pending.pop()
+            engine.restore(cp)
+            store.tighten_lb(cell, d + 1)
+        branch = expand() if engine.propagate() is PropagateResult.FIXPOINT else None
+    engine.restore(root)
+    return out
 
 
 # -- end-to-end pipeline ------------------------------------------------------------

@@ -169,6 +169,22 @@ class UltrametricMatrix(Propagator):
                     cid[x] = small
                 self.members[d][small] = moved
 
+    def unsplit(self, top: int) -> bool:
+        """True when some cluster of at least two species at a depth
+        e <= top is still one cluster at depth e + 1. Depth 1 is the
+        whole species set."""
+        n = self.matrix.n
+        outer = [list(range(n))]
+        for e in range(1, min(top, n - 2) + 1):
+            cid = self.cid[e + 1]
+            if cid is None:  # no lower bound reached e + 1: every cluster splits
+                return False
+            inner = self.members[e + 1]
+            if any(len(inner.get(cid[c[0]], ())) == len(c) for c in outer if len(c) > 1):
+                return True
+            outer = inner.values()
+        return False
+
     def wake(self, store: Store, start: int, end: int) -> None:
         mat = self.matrix
         lo, hi = mat.cell_vars.start, mat.cell_vars.stop

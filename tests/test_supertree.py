@@ -37,10 +37,18 @@ from umtree import (
     tree_to_matrix,
 )
 from umtree.generate import random_forest, random_tree
-from umtree.phylo import iter_nodes
+from umtree.phylo import canonical_form, fold, iter_nodes
 from umtree.ultrametric import UltrametricMatrix
 
-from oracles import build_compatible, oracle_compatible, oracle_necessary, oracle_supertrees, swap_leaves
+from oracles import (
+    atom_code,
+    build_compatible,
+    candidates_with_codes,
+    oracle_compatible,
+    oracle_necessary,
+    oracle_supertrees,
+    swap_leaves,
+)
 
 
 def _forest(*newicks):
@@ -621,6 +629,110 @@ def test_enumerate_counts_search_nodes():
     model = build_model(_forest("(a,b,c);"), "soft")
     enumerate_supertrees(model, 100)
     assert model.engine.stats.search_nodes > 0
+
+
+def _topologies(trees):
+    return {canonical_form(t, with_internal_labels=False) for t in trees}
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_enumerate_is_every_tree_holding_the_model_atoms(mode):
+    # brute force over the model's own atoms, not over the inputs, so a
+    # breakup that loses an input cluster cannot hide a search mismatch
+    rng = random.Random(71)
+    totals = []
+    for k in range(24):
+        trees = random_forest(rng.randint(3, 6), rng.randint(1, 3), 0.4, rng, binary=k % 3 == 0)
+        if k % 2:
+            labels = sorted(leaf_labels(trees[0]))
+            if len(labels) >= 2:
+                trees[0] = swap_leaves(trees[0], *rng.sample(labels, 2))
+        forest = Forest.from_trees(trees)
+        model = build_model(forest, mode)
+        codes = [atom_code(a) for a in model.atoms]
+        want = {
+            canonical_form(cand, with_internal_labels=False)
+            for cand, cand_codes in candidates_with_codes(forest.species)
+            if all(cand_codes[t] == c for t, c in codes)
+        }
+        got = enumerate_supertrees(model, 10_000)
+        assert len(got) == len(_topologies(got))
+        assert _topologies(got) == want
+        for limit in (1, 3):
+            assert len(enumerate_supertrees(build_model(forest, mode), limit)) == min(len(want), limit)
+        reference = cp_build(build_model(forest, mode))
+        if got:
+            assert serialize_newick(got[0]) == serialize_newick(reference)
+        else:
+            assert reference is None
+        totals.append(len(want))
+    assert 0 in totals and max(totals) > 3
+
+
+# Topologies of hard random_forest(10, 4, 0.3, Random(seed)) as listed by
+# the search over depth labellings that the cluster-merge search replaced.
+# That search took 62,643, 39,966 and 6,444 search nodes on them.
+SPARSE_N10_TOPOLOGIES = {
+    0: {
+        "((((s000,s003),s004),(s005,s006,s007)),((s001,s009),s008),s002)",
+        "((((s000,s004),s003),(s005,s006,s007)),((s001,s009),s008),s002)",
+        "((((s003,s004),s000),(s005,s006,s007)),((s001,s009),s008),s002)",
+        "(((s000,s003,s004),(s005,s006,s007)),((s001,s009),s008),s002)",
+    },
+    1: {
+        "(((s000,s001,s003,s004),(s005,s009)),((s002,s008),(s006,s007)))",
+    },
+    2: {
+        "((((s001,s009),(s003,s008)),((s002,s004,s006),s005),s000),s007)",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_enumerate_sparse_n10_forests_in_few_nodes(seed):
+    forest = Forest.from_trees(random_forest(10, 4, 0.3, random.Random(seed)))
+    model = build_model(forest, "hard")
+    trees = enumerate_supertrees(model, 5)
+    assert _topologies(trees) == SPARSE_N10_TOPOLOGIES[seed]
+    assert len(trees) == len(SPARSE_N10_TOPOLOGIES[seed])
+    assert model.engine.stats.search_nodes < 200
+
+
+def _relabelled(tree, names):
+    return fold(tree, lambda nd: leaf(names[nd.label]), lambda nd, kids: PhyloTree(children=tuple(kids)))
+
+
+@pytest.mark.parametrize("mode, binary", [("hard", False), ("hard", True), ("soft", True)])
+def test_enumerate_commutes_with_relabelling_at_size(mode, binary):
+    # the species order decides the cell order and so the branching, but
+    # not the set of topologies
+    rng = random.Random(73)
+    limit = 200
+    counts = []
+    for n in (12, 18, 24, 30):
+        trees = random_forest(n, 3, 0.25, rng, binary=binary)
+        forest = Forest.from_trees(trees)
+        got = enumerate_supertrees(build_model(forest, mode), limit)
+        assert len(got) < limit
+        counts.append(len(got))
+        labels = sorted(forest.species)
+        names = dict(zip(labels, rng.sample([f"t{i:02d}" for i in range(n)], n)))
+        moved = Forest.from_trees([_relabelled(t, names) for t in reversed(trees)])
+        again = enumerate_supertrees(build_model(moved, mode), limit)
+        assert _topologies(again) == _topologies(_relabelled(t, names) for t in got)
+    assert max(counts) > 1
+
+
+def test_enumerate_pins_each_listed_tree_at_size():
+    # every listed tree T displays the forest, so the forest plus T has T alone
+    rng = random.Random(80)
+    for n in (12, 20, 30):
+        trees = random_forest(n, 3, 0.25, rng, binary=True)
+        got = enumerate_supertrees(build_model(Forest.from_trees(trees), "hard"), 200)
+        assert 1 < len(got) < 200
+        for tree in got:
+            pinned = enumerate_supertrees(build_model(Forest.from_trees(trees + [tree]), "hard"), 2)
+            assert _topologies(pinned) == _topologies([tree]) and len(pinned) == 1
 
 
 # -- statistics ---------------------------------------------------------------------------
