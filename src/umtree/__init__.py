@@ -7,7 +7,6 @@ from .relations import post_atom, post_eq2, post_eq3, post_fan, post_le, post_lt
 from .phylo import (
     Fan,
     NewickParseError,
-    NotUltrametricError,
     PhyloTree,
     Triple,
     UltrametricIntMatrix,
@@ -19,7 +18,6 @@ from .phylo import (
     isomorphic,
     leaf,
     leaf_labels,
-    matrix_to_tree,
     node,
     parse_atom,
     parse_newick,

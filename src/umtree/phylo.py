@@ -34,14 +34,6 @@ class NewickParseError(ValueError):
         self.pos = pos
 
 
-class NotUltrametricError(ValueError):
-    """Matrix has an index triple without a tie for the minimum."""
-
-    def __init__(self, triple: tuple[int, int, int]):
-        super().__init__(f"no tie for the minimum at index triple {triple}")
-        self.triple = triple
-
-
 @dataclass(frozen=True, eq=False)
 class PhyloTree:
     """A rooted tree node; a node with no children is a leaf.
@@ -407,63 +399,6 @@ def tree_to_matrix(tree: PhyloTree) -> UltrametricIntMatrix:
         i, j = index[a], index[b]
         rows[i][j] = rows[j][i] = depth
     return UltrametricIntMatrix(labels, np.array(rows, dtype=int))
-
-
-def matrix_to_tree(matrix: UltrametricIntMatrix) -> PhyloTree:
-    """The unique tree whose mrca depths reproduce the matrix.
-
-    Only comparisons between entries are used, so matrices equal up to a
-    strictly increasing relabelling of values give isomorphic trees.
-
-    One Prim pass orders the leaves: start at leaf 0, and place next the
-    free leaf with the largest entry to a placed leaf, ties to the
-    smallest index; that entry is the leaf's join height h. For an
-    ultrametric this is a depth-first order, so every clade is a run,
-    and each node lists its children in increasing order of their
-    smallest leaf index. With P the matrix in this order, the input is
-    ultrametric, and is the tree's, iff P[a, b] == min(P[a, b-1], h[b])
-    for every a < b. Otherwise the smallest failing b, any failing a
-    and the placed leaf m that gave h[b] form an index triple with no
-    tie for the minimum, which is reported. A stack pass over h then
-    builds the tree. O(n^2), no recursion.
-    """
-    n, values = matrix.n, matrix.values
-    if n == 0:
-        raise ValueError("empty matrix")
-    p = values.copy()
-    np.fill_diagonal(p, values.max() + 1)  # above every entry
-    if p.min() <= 0:
-        raise ValueError("off-diagonal entries must be positive")
-    w = p.copy()
-    w[:, 0] = 0  # a placed leaf's column: no row raises its key again
-    key = w[0].copy()  # each free leaf's largest entry to a placed leaf
-    order, h = [0] * n, [0] * n
-    for t in range(1, n):
-        q = order[t] = int(key.argmax())
-        h[t] = int(key[q])
-        w[:, q] = key[q] = 0
-        np.maximum(key, w[q], out=key)
-    p = p[order][:, order]
-    bad = np.triu(p[:, 1:] != np.minimum(p[:, :-1], h[1:]))
-    if bad.any():
-        b = int(bad.any(axis=0).argmax()) + 1
-        a, m = int(bad[:, b - 1].argmax()), int(p[b, :b].argmax())
-        raise NotUltrametricError(tuple(sorted((order[a], order[m], order[b]))))
-    labels = matrix.labels
-    stack: list[tuple[int, list[PhyloTree]]] = []  # open clades: depth, children
-    last = leaf(labels[0])
-    for t, d in enumerate(h[1:] + [0], start=1):  # 0 closes every clade
-        while stack and stack[-1][0] > d:
-            kids = stack.pop()[1]
-            kids.append(last)
-            last = PhyloTree(children=tuple(kids))
-        if t < n:
-            if stack and stack[-1][0] == d:
-                stack[-1][1].append(last)
-            else:
-                stack.append((d, [last]))
-            last = leaf(labels[order[t]])
-    return last
 
 
 # -- breakup ----------------------------------------------------------------

@@ -3,7 +3,9 @@
 A forest of input trees is broken into triples and fans, posted over a
 matrix of mrca-depth variables together with one matrix-wide ultrametric
 propagator, and propagated to fixpoint. The lower bounds then form a
-solution, so building a supertree needs no search. On the same model we
+solution, so building a supertree needs no search: the propagator holds
+them as nested clusters, one partition of the species per depth, and
+those clusters are the supertree's. On the same model we
 answer necessity queries, tolerate conflicting inputs greedily, extract
 minimal conflicting atom sets, apply rank/date side constraints, encode
 nested taxa, and list every supertree topology once, by a depth-first
@@ -31,7 +33,6 @@ from .phylo import (
     hard_breakup,
     iter_nodes,
     leaf_labels,
-    matrix_to_tree,
     mrca_pairs,
     perfectly_displays,
     soft_breakup,
@@ -238,15 +239,25 @@ def apply_ranks(model: SupertreeModel, tree: PhyloTree) -> None:
 # -- building -----------------------------------------------------------------
 
 
+def matrix_to_tree(model: SupertreeModel) -> PhyloTree:
+    """The supertree at the model's fixpoint: the tree whose clusters
+    are the matrix propagator's partitions of the species by lb >= d.
+    The one read-off of cp_build, greedy and enumerate; perfbench's
+    tracer times it under this name."""
+    return model.ultrametric.tree()
+
+
 def cp_build(model: SupertreeModel) -> PhyloTree | None:
     """Propagate to fixpoint and read the supertree off the lower bounds.
 
-    Returns None when the inputs are incompatible. Never searches:
-    search_nodes stays 0 either way.
+    At a fixpoint the lower bounds are an ultrametric, held by the matrix
+    propagator as one partition of the species per depth; those clusters
+    are the supertree's (`matrix_to_tree`). Returns None when the inputs
+    are incompatible. Never searches: search_nodes stays 0 either way.
     """
     if model.engine.propagate() is PropagateResult.FAILURE:
         return None
-    return matrix_to_tree(model.lb_matrix())
+    return matrix_to_tree(model)
 
 
 # -- necessity ----------------------------------------------------------------
@@ -341,7 +352,7 @@ def greedy_build_with_model(
             rejected.append(atom)
         else:
             accepted.append(atom)
-    tree = matrix_to_tree(model.lb_matrix())
+    tree = matrix_to_tree(model)
     out_matrix = tree_to_matrix(tree)
     violated = tuple(a for a in rejected if not atom_holds(out_matrix, a))
     return tree, GreedyReport(tuple(accepted), tuple(rejected), violated), model
@@ -565,7 +576,7 @@ def enumerate_supertrees(model: SupertreeModel, limit: int) -> list[PhyloTree]:
         if model.ultrametric.unsplit(d):
             return None
         if best < 0:
-            out.append(matrix_to_tree(model.lb_matrix()))
+            out.append(matrix_to_tree(model))
             return None
         return best, d
 

@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import Engine, Propagator
+from .phylo import PhyloTree, leaf
 from .store import Event, Store
 
 _MIN = Event.MIN
@@ -184,6 +185,48 @@ class UltrametricMatrix(Propagator):
                 return True
             outer = inner.values()
         return False
+
+    def tree(self) -> PhyloTree:
+        """The tree whose clusters are the partitions, read at a fixpoint.
+
+        The root holds every species at depth 1. A node at depth d groups
+        its species by their depth-(d+1) cluster, every species its own
+        group once no lower bound reaches d + 1, and goes one level deeper
+        while there is one group, so the unary levels that rank gaps and
+        date bounds leave are suppressed. A group of one species is a
+        leaf. Species lists stay sorted and groups keep the order of their
+        first member, so children are listed by their smallest species
+        index. The nodes are listed parents first, the list extended while
+        it is read, and built in reverse: no recursion.
+        """
+        n, labels = self.matrix.n, self.matrix.labels
+        if n == 1:
+            return leaf(labels[0])
+        alone = range(n)  # the cluster ids where no lower bound reaches a depth
+        nodes = [(1, list(alone))]  # depth and species of each internal node
+        kids: list[list[int]] = []  # per node: each child's node index, or ~i for species i
+        for d, species in nodes:
+            groups: dict[int, list[int]] = {}
+            while len(groups) < 2:
+                d += 1
+                cid = (self.cid[d] if d < n else None) or alone
+                groups = {}
+                for x in species:
+                    groups.setdefault(cid[x], []).append(x)
+            row = []
+            for g in groups.values():
+                if len(g) == 1:
+                    row.append(~g[0])
+                else:
+                    row.append(len(nodes))
+                    nodes.append((d, g))
+            kids.append(row)
+        built: list[PhyloTree | None] = [None] * len(nodes)
+        for t in range(len(nodes) - 1, -1, -1):  # children come after their parent
+            built[t] = PhyloTree(
+                children=tuple(built[c] if c >= 0 else leaf(labels[~c]) for c in kids[t])
+            )
+        return built[0]
 
     def wake(self, store: Store, start: int, end: int) -> None:
         mat = self.matrix

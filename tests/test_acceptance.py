@@ -28,7 +28,6 @@ from umtree import (
     explain_conflict,
     greedy_build,
     isomorphic,
-    matrix_to_tree,
     nested_preprocess,
     parse_newick,
     perfectly_displays,
@@ -46,6 +45,7 @@ from oracles import (
     bcz_box_oracle,
     candidates_with_codes,
     displays_by_codes,
+    matrix_to_tree,
     nested_rows,
     post_delayed_disjunction_um3,
     post_um3,

@@ -6,7 +6,6 @@ import pytest
 from umtree import (
     Fan,
     NewickParseError,
-    NotUltrametricError,
     PhyloTree,
     Triple,
     UltrametricIntMatrix,
@@ -18,7 +17,6 @@ from umtree import (
     isomorphic,
     leaf,
     leaf_labels,
-    matrix_to_tree,
     parse_atom,
     parse_newick,
     parse_newick_many,
@@ -34,7 +32,14 @@ from umtree.phylo import clusters, fold
 from umtree.supertree import Forest, build_model
 import numpy as np
 
-from oracles import all_rooted_trees, triple_codes, displays_by_codes, candidates_with_codes
+from oracles import (
+    NotUltrametricError,
+    all_rooted_trees,
+    candidates_with_codes,
+    displays_by_codes,
+    matrix_to_tree,
+    triple_codes,
+)
 
 
 # -- Newick -------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import itertools
 import random
 import statistics
+import sys
 
+import numpy as np
 import pytest
 
 from umtree import (
@@ -20,6 +22,7 @@ from umtree import (
     apply_ranks,
     atom_holds,
     build_model,
+    build_supertree,
     cp_build,
     displays,
     enumerate_supertrees,
@@ -33,13 +36,17 @@ from umtree import (
     node,
     parse_newick,
     post_atom,
+    restrict_and_suppress,
     serialize_newick,
+    species_labels,
     tree_to_matrix,
 )
+from umtree import supertree
 from umtree.generate import random_forest, random_tree
 from umtree.phylo import canonical_form, fold, iter_nodes
 from umtree.ultrametric import UltrametricMatrix
 
+import oracles
 from oracles import (
     atom_code,
     build_compatible,
@@ -733,6 +740,185 @@ def test_enumerate_pins_each_listed_tree_at_size():
         for tree in got:
             pinned = enumerate_supertrees(build_model(Forest.from_trees(trees + [tree]), "hard"), 2)
             assert _topologies(pinned) == _topologies([tree]) and len(pinned) == 1
+
+
+# -- read-off -------------------------------------------------------------------------------
+
+
+@pytest.fixture
+def readoffs(monkeypatch):
+    """Check every read-off of cp_build, greedy and enumerate against the
+    Prim read-off of the gathered lower bounds, Newick byte for byte
+    (child order included). The returned list holds, per read-off,
+    whether its lower bounds skip a level."""
+    seen = []
+    readoff = supertree.matrix_to_tree
+
+    def checked(model):
+        tree = readoff(model)
+        lb = model.lb_matrix()
+        assert serialize_newick(tree) == serialize_newick(oracles.matrix_to_tree(lb))
+        depths = set(lb.values.flat) - {0}
+        seen.append(depths != set(range(1, len(depths) + 1)))
+        return tree
+
+    monkeypatch.setattr(supertree, "matrix_to_tree", checked)
+    return seen
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_readoff_matches_prim_on_random_forests(readoffs, mode):
+    rng = random.Random(90)
+    forests = [_forest("a;"), _forest("(a,b);"), _forest("(a,b);", "a;")]
+    for n in (3, 5, 8, 14, 30, 60, 120, 300):
+        binary = rng.random() < 0.5
+        forests.append(Forest.from_trees(random_forest(n, 3, 0.25, rng, binary=binary)))
+    for forest in forests:
+        assert cp_build(build_model(forest, mode)) is not None
+    assert len(readoffs) == len(forests)
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_readoff_matches_prim_after_restores(readoffs, mode):
+    # greedy-like probes on one model: read off at every fixpoint a probe
+    # reaches and after every restore, failed probes included
+    rng = random.Random(91)
+    for n in (12, 40):
+        trees = random_forest(n, 3, 0.25, rng)
+        model = build_model(Forest.from_trees(trees), mode)
+        assert model.engine.propagate() is PropagateResult.FIXPOINT
+        supertree.matrix_to_tree(model)
+        for t in rng.sample(trees, 2):
+            swapped = swap_leaves(t, *rng.sample(sorted(leaf_labels(t)), 2))
+            for atom in rng.sample(hard_breakup(swapped), 5):
+                cp = model.engine.checkpoint()
+                post_atom(model.engine, model.matrix, atom)
+                if model.engine.propagate() is PropagateResult.FIXPOINT:
+                    supertree.matrix_to_tree(model)
+                if model.store.failed or rng.random() < 0.5:
+                    model.engine.restore(cp)
+                    supertree.matrix_to_tree(model)
+    assert len(readoffs) > 20
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_readoff_matches_prim_on_greedy_and_enumerate(readoffs, mode):
+    rng = random.Random(92)
+    for _ in range(6):  # greedy's final fixpoint on leaf-swapped forests
+        trees = random_forest(14, 3, 0.2, rng)
+        a, b = rng.sample(sorted(leaf_labels(trees[0])), 2)
+        greedy_build(Forest.from_trees([swap_leaves(trees[0], a, b)] + trees[1:]), mode)
+    assert len(readoffs) == 6
+    listed = 0
+    for _ in range(8):  # every enumerate solution
+        trees = random_forest(rng.randint(5, 10), 4, 0.3, rng)
+        listed += len(enumerate_supertrees(build_model(Forest.from_trees(trees), mode), 30))
+    assert len(readoffs) == 6 + listed and listed > 8
+
+
+def _gapped_ranks(tree, rng, n):
+    """The tree ranked with gaps: each internal node 1-3 below its parent,
+    the root at 1 or 2, every rank at most n - 1; None if they do not fit."""
+    ranks = {tree: rng.randint(1, 2)}
+    for nd in iter_nodes(tree):  # preorder: parents are ranked first
+        for c in nd.children:
+            if not c.is_leaf:
+                ranks[c] = ranks[nd] + rng.randint(1, 3)
+    if max(ranks.values()) > n - 1:
+        return None
+    return fold(tree, lambda nd: nd, lambda nd, kids: PhyloTree(children=tuple(kids), rank=ranks[nd]))
+
+
+def test_readoff_matches_prim_where_the_bounds_skip_levels(readoffs):
+    # rank gaps and date bounds leave depths that no lower bound reaches,
+    # so the read-off goes one level deeper on a single group
+    rng = random.Random(93)
+    built = 0
+    while built < 30:
+        n = rng.randint(6, 40)
+        labels = species_labels(n)
+        master = _gapped_ranks(random_tree(labels, rng), rng, n)
+        if master is None:
+            continue
+        trees = [restrict_and_suppress(master, rng.sample(labels, rng.randint(3, n))) for _ in "ab"]
+        forest = Forest.from_trees([master if rng.random() < 0.3 else trees[0]] + trees)
+        outcome = build_supertree(forest, rng.choice(("hard", "soft")))
+        built += outcome.status == "compatible"
+    ranked = sum(readoffs)
+    for n in (5, 12, 30):  # a date bound deepens a cherry of the first tree
+        trees = random_forest(n, 3, 0.25, rng)
+        a, b = next(
+            [c.label for c in nd.children]
+            for nd in iter_nodes(trees[0])
+            if len(nd.children) == 2 and all(c.is_leaf for c in nd.children)
+        )
+        forest = Forest.from_trees(trees)
+        cp_build(build_model(forest, "hard", sides=[DateBounds(a, b, forest.n - 1, forest.n - 1)]))
+    assert ranked > 10 and sum(readoffs) > ranked
+
+
+def test_readoff_does_not_recurse():
+    # a 150-species caterpillar read off a few dozen frames under the
+    # recursion limit
+    n = 150
+    cat = leaf("s000")
+    for i in range(1, n):
+        cat = PhyloTree(children=(cat, leaf(f"s{i:03d}")))
+    model = build_model(Forest.from_trees([cat]), "hard")
+    assert model.engine.propagate() is PropagateResult.FIXPOINT
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        tree = model.ultrametric.tree()
+    finally:
+        sys.setrecursionlimit(limit)
+    for i in range(n - 1, 0, -1):  # the caterpillar itself, children in the same order
+        tree, last = tree.children
+        assert last.label == f"s{i:03d}"
+    assert tree.label == "s000"
+
+
+# -- metamorphic verdicts at size -------------------------------------------------------------
+# A compatible forest's lower-bound fixpoint is its least solution, so it
+# cannot depend on the species order, and a solution of more atoms is a
+# solution of fewer. These properties need no oracle, so they check the
+# read-off at sizes that no reference propagator reaches.
+
+
+@pytest.mark.parametrize("n, mode, binary", [(300, "hard", False), (1000, "hard", True)])
+def test_relabelled_reversed_forest_gives_the_relabelled_tree(n, mode, binary):
+    rng = random.Random(n)
+    trees = random_forest(n, 3, 0.25, rng, binary=binary)
+    forest = Forest.from_trees(trees)
+    names = dict(zip(forest.species, rng.sample(forest.species, n)))
+    moved = Forest.from_trees([_relabelled(t, names) for t in reversed(trees)])
+    got = cp_build(build_model(moved, mode))
+    assert canonical_form(got) == canonical_form(_relabelled(cp_build(build_model(forest, mode)), names))
+
+
+@pytest.mark.parametrize("n, mode, binary", [(400, "soft", True), (600, "hard", False)])
+def test_a_restriction_of_the_output_leaves_it_unchanged(n, mode, binary):
+    rng = random.Random(n)
+    trees = random_forest(n, 3, 0.25, rng, binary=binary)
+    tree = cp_build(build_model(Forest.from_trees(trees), mode))
+    part = restrict_and_suppress(tree, rng.sample(sorted(leaf_labels(tree)), n // 2))
+    again = cp_build(build_model(Forest.from_trees(trees + [part]), mode))
+    assert canonical_form(again) == canonical_form(tree)
+
+
+@pytest.mark.parametrize("n, mode, binary", [(300, "soft", False), (500, "hard", True)])
+def test_a_sub_forest_has_no_higher_lower_bound(n, mode, binary):
+    rng = random.Random(n)
+    trees = random_forest(n, 3, 0.25, rng, binary=binary)
+    models = [build_model(Forest.from_trees(f), mode) for f in (trees, trees[1:])]
+    for m in models:
+        assert m.engine.propagate() is PropagateResult.FIXPOINT
+    full, sub = models
+    at = [full.matrix.index[s] for s in sub.forest.species]
+    assert (sub.matrix.lower_bounds() <= full.matrix.lower_bounds()[np.ix_(at, at)]).all()
 
 
 # -- statistics ---------------------------------------------------------------------------
