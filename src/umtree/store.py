@@ -13,7 +13,6 @@ proportional to the number of mutations being undone.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 
@@ -56,11 +55,8 @@ class Store:
     """Pool of interval-domain integer variables with one trail.
 
     Variables are identified by dense integer ids. Bound reads go through
-    `lb`/`ub` (or the `lbs`/`ubs` arrays directly in propagator hot paths);
-    both are constant-time. The bounds are signed 64-bit `array`s, so a
-    propagator can read them through `np.frombuffer` without a copy; such
-    a view must not outlive the wake, because an array with a live view
-    cannot grow in `new_vars`. Every narrowing appends one record
+    `lb`/`ub` (or the `lbs`/`ubs` lists directly in propagator hot paths);
+    both are constant-time. Every narrowing appends one record
     (var, Event.MIN or Event.MAX, old value) to `trail`: restore undoes
     it, and each propagator of the engine reads it once. The trail is
     one list for the life of the store; only the store appends to it or
@@ -70,8 +66,8 @@ class Store:
     __slots__ = ("lbs", "ubs", "failed", "trail", "_cps")
 
     def __init__(self) -> None:
-        self.lbs = array("q")
-        self.ubs = array("q")
+        self.lbs: list[int] = []
+        self.ubs: list[int] = []
         self.failed = False
         self.trail: list[tuple[int, int, int]] = []  # (var, event, old value)
         self._cps: list[Checkpoint] = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .engine import Engine, PropagateResult
 from .phylo import (
@@ -26,7 +26,6 @@ from .phylo import (
     PhyloTree,
     Triple,
     UltrametricIntMatrix,
-    atom_holds,
     canonical_form,  # unused here: perfbench/tracing.py wraps this module attribute
     clusters,
     fold,
@@ -36,7 +35,7 @@ from .phylo import (
     mrca_pairs,
     perfectly_displays,
     soft_breakup,
-    tree_to_matrix,
+    tree_to_matrix,  # unused here: perfbench/tracing.py wraps this module attribute
     validate_tree,
 )
 from .relations import post_atom, post_le, post_lt
@@ -335,6 +334,13 @@ def greedy_build(forest: Forest, mode: str = "hard") -> tuple[PhyloTree, GreedyR
     return tree, report
 
 
+def _displayed(spans: Collection[frozenset[str]], atom: Atom) -> bool:
+    """Whether the tree whose clusters are `spans` displays the atom."""
+    if isinstance(atom, Triple):
+        return any(atom.x in c and atom.y in c and atom.z not in c for c in spans)
+    return not any((atom.x in c) + (atom.y in c) + (atom.z in c) == 2 for c in spans)
+
+
 def greedy_build_with_model(
     forest: Forest, mode: str = "hard"
 ) -> tuple[PhyloTree, GreedyReport, SupertreeModel]:
@@ -353,8 +359,8 @@ def greedy_build_with_model(
         else:
             accepted.append(atom)
     tree = matrix_to_tree(model)
-    out_matrix = tree_to_matrix(tree)
-    violated = tuple(a for a in rejected if not atom_holds(out_matrix, a))
+    spans = clusters(tree).values()
+    violated = tuple(a for a in rejected if not _displayed(spans, a))
     return tree, GreedyReport(tuple(accepted), tuple(rejected), violated), model
 
 

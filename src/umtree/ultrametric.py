@@ -21,6 +21,7 @@ and the clusters it merges, not to the size of the matrix.
 from __future__ import annotations
 
 from array import array
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -44,14 +45,13 @@ class MrcaMatrix:
     The cells are one block of consecutive variables, `cell_vars`,
     numbered row-major over the pairs (i, j), i < j, so with
     k = v - cell_vars[0], `pairs[2k]` and `pairs[2k + 1]` are the index
-    pair of cell variable v. `cell_ids` is the n x n index array of the
-    cell variables, a numpy view of `flat_ids` (slot i * n + j); the
-    diagonal slots hold 0, a placeholder that every reader overwrites.
-    `pairs` and `flat_ids` are `array("q")`s, which the matrix
-    propagator indexes one slot at a time.
+    pair of cell variable v. `flat_ids[i * n + j]` is the variable of
+    cell (i, j); the diagonal slots hold 0, a placeholder that every
+    reader overwrites. `pairs` and `flat_ids` are `array("q")`s, 8 bytes
+    a slot, which the matrix propagator indexes one slot at a time.
     """
 
-    __slots__ = ("store", "labels", "n", "index", "cell_vars", "cell_ids", "flat_ids", "pairs")
+    __slots__ = ("store", "labels", "n", "index", "cell_vars", "flat_ids", "pairs")
 
     def __init__(self, store: Store, labels: Sequence[str]):
         labels = tuple(labels)
@@ -65,15 +65,15 @@ class MrcaMatrix:
         self.cell_vars = cells = store.new_vars(n * (n - 1) // 2, 1, n - 1)
         i, j = np.triu_indices(n, 1)
         self.flat_ids = array("q", [0]) * (n * n)
-        self.cell_ids = np.frombuffer(self.flat_ids, dtype=np.int64).reshape(n, n)
-        self.cell_ids[i, j] = self.cell_ids[j, i] = np.arange(cells.start, cells.stop)
+        ids = np.asarray(self.flat_ids).reshape(n, n)  # a view, dropped on return
+        ids[i, j] = ids[j, i] = np.arange(cells.start, cells.stop)
         self.pairs = array("q", np.stack((i, j), axis=1).tobytes())
 
     def cell(self, i: int, j: int) -> int:
         """Variable id of the unordered pair {i, j}, i != j."""
         if i == j:
             raise ValueError("diagonal cells are the constant 0, not variables")
-        return self.cell_ids.item(i, j)
+        return self.flat_ids[i * self.n + j]
 
     def cell_by_label(self, a: str, b: str) -> int:
         return self.cell(self.index[a], self.index[b])
@@ -82,7 +82,7 @@ class MrcaMatrix:
         """Current lb of every cell as a full symmetric n x n array."""
         if not self.cell_vars:  # one species: no cells to gather
             return np.zeros((self.n, self.n), dtype=np.int64)
-        m = np.frombuffer(self.store.lbs, dtype=np.int64)[self.cell_ids]
+        m = np.array(self.store.lbs)[np.asarray(self.flat_ids).reshape(self.n, self.n)]
         np.fill_diagonal(m, 0)
         return m
 
@@ -137,13 +137,10 @@ class UltrametricMatrix(Propagator):
     LEVEL = 1  # woken once the relations are at their fixpoint
 
     def __init__(self, matrix: MrcaMatrix):
-        cells = matrix.cell_vars
-        if cells:
-            # views into the store's arrays, dropped on return
-            lbs = np.frombuffer(matrix.store.lbs, dtype=np.int64)[cells.start:cells.stop]
-            ubs = np.frombuffer(matrix.store.ubs, dtype=np.int64)[cells.start:cells.stop]
-            if lbs.max() > 1 or ubs.min() < matrix.n - 1:
-                raise ValueError("the matrix propagator needs every cell at [1, n-1] when registered")
+        lo, hi = matrix.cell_vars.start, matrix.cell_vars.stop
+        lbs, ubs = matrix.store.lbs, matrix.store.ubs
+        if lo < hi and (max(islice(lbs, lo, hi)) > 1 or min(islice(ubs, lo, hi)) < matrix.n - 1):
+            raise ValueError("the matrix propagator needs every cell at [1, n-1] when registered")
         self.matrix = matrix
         self.cid: list[list[int] | None] = [None] * matrix.n
         self.members: list[dict[int, list[int]] | None] = [None] * matrix.n

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import umtree
 from umtree import cli, displays, isomorphic, parse_newick, parse_newick_many
@@ -361,3 +366,77 @@ def test_ranked_forest_is_an_error_outside_build(tmp_path, capsys, argv):
     assert main([argv[0], ranked, *argv[1:]]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "ranked" in err and "build" in err
+
+
+# -- fuzzed inputs never crash ------------------------------------------------------
+
+_FORESTS = [
+    "((a,b),c);\n((a,c),b);\n",
+    "(((a,b),c),(d,e));\n((a,b),(f,c));\n",
+    "((a,b,c),d);\n((a,b),e);\n",
+    "((a,b)#3,(c,d)#2)#1;\n((a,e),c);\n",
+    "((a,b)T,c);\n(T,d);\n",
+]
+_SIDECARS = ["predates a b c d\nbounds a c 1 3\n", "bounds a b 2 2\n# note\npredates a c a b\n"]
+_ATOMS = ["(a,b)c", "(a,b,c)", "(a,b)z"]
+_LETTERS = "abcdefT"
+
+
+def _mutate(text, ops):
+    """Apply fuzz edits: drop or duplicate a character, swap two labels,
+    or set a rank ("#k") or a bounds number to a new value."""
+    for kind, p, q in ops:
+        if kind == "drop" and text:
+            p %= len(text)
+            text = text[:p] + text[p + 1 :]
+        elif kind == "dup" and text:
+            p %= len(text)
+            text = text[:p] + text[p] + text[p:]
+        elif kind == "swap":
+            x, y = _LETTERS[p % len(_LETTERS)], _LETTERS[q % len(_LETTERS)]
+            text = text.translate(str.maketrans({x: y, y: x}))
+        else:  # "number": the p-th rank or integer, counted over the text
+            spans = [m.span() for m in re.finditer(r"-?\d+", text)]
+            if spans:
+                lo, hi = spans[p % len(spans)]
+                text = text[:lo] + str(q - 3) + text[hi:]
+    return text
+
+
+_edits = st.lists(
+    st.tuples(st.sampled_from(["drop", "dup", "swap", "number"]), st.integers(0, 99), st.integers(0, 99)),
+    max_size=4,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    forest=st.sampled_from(_FORESTS),
+    sidecar=st.sampled_from(_SIDECARS),
+    atom=st.sampled_from(_ATOMS),
+    forest_edits=_edits,
+    sidecar_edits=_edits,
+)
+def test_mutated_inputs_never_exit_4(tmp_path_factory, forest, sidecar, atom, forest_edits, sidecar_edits):
+    # exit 4 means an unexpected exception: every malformed, incompatible
+    # or degenerate input must get a verdict or a usage error instead
+    d = tmp_path_factory.mktemp("fuzz")
+    texts = _mutate(forest, forest_edits), _mutate(sidecar, sidecar_edits)
+    f, s = str(d / "f.nwk"), str(d / "s.txt")
+    for path, text in zip((f, s), texts):
+        Path(path).write_text(text)
+    runs = [["check", f, f]]
+    for mode in ("--hard", "--soft"):
+        runs += [
+            ["build", f, "--constraints", s, mode],
+            ["build", f, mode],
+            ["greedy", f, mode],
+            ["necessity", f, "--atom", atom, mode],
+            ["explain", f, mode],
+            ["breakup", f, mode],
+            ["enumerate", f, "--limit", "3", mode],
+        ]
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, *texts, err.getvalue())

@@ -389,7 +389,7 @@ def _ladder_fixpoint(n, mode, rng, swap_seed=None):
         for a in breakup(t):
             post_atom(e, m, a)
     res = e.propagate()
-    return res, (bytes(s.lbs), bytes(s.ubs)) if res is PropagateResult.FIXPOINT else None
+    return res, (list(s.lbs), list(s.ubs)) if res is PropagateResult.FIXPOINT else None
 
 
 @pytest.mark.parametrize("mode", ["hard", "soft"])

@@ -226,7 +226,7 @@ def _posted_model(monkeypatch, forest, mode, sides, queue_rng, scalar):
 def _outcome(model):
     if model.engine.propagate() is PropagateResult.FAILURE:
         return None
-    return bytes(model.store.lbs), bytes(model.store.ubs)
+    return list(model.store.lbs), list(model.store.ubs)
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -268,7 +268,7 @@ def test_variables_outside_the_matrix_block_reach_the_same_fixpoint(monkeypatch)
             assert cells.start == lead
             trailing += store.num_vars > cells.stop
             failed = model.engine.propagate() is PropagateResult.FAILURE
-            got = None if failed else (bytes(store.lbs[lead:]), bytes(store.ubs[lead:]))
+            got = None if failed else (list(store.lbs[lead:]), list(store.ubs[lead:]))
             assert got == want
     assert trailing
 
@@ -360,7 +360,7 @@ def test_restore_drops_rows_and_subscriptions_posted_since(seed):
             _post(re_, rm, rextra, batch)
         assert re_.propagate() is PropagateResult.FIXPOINT
         assert _tables(e) == _tables(re_)
-        assert (bytes(s.lbs), bytes(s.ubs)) == (bytes(rs.lbs), bytes(rs.ubs))
+        assert (list(s.lbs), list(s.ubs)) == (list(rs.lbs), list(rs.ubs))
         # the dropped rows posted again reach the fresh engine's fixpoint
         probe = e.checkpoint()
         _post(e, m, extra, batches[kept])
@@ -368,6 +368,6 @@ def test_restore_drops_rows_and_subscriptions_posted_since(seed):
         got, want = e.propagate(), re_.propagate()
         assert got is want
         if want is PropagateResult.FIXPOINT:
-            assert (bytes(s.lbs), bytes(s.ubs)) == (bytes(rs.lbs), bytes(rs.ubs))
+            assert (list(s.lbs), list(s.ubs)) == (list(rs.lbs), list(rs.ubs))
         e.restore(probe)
     assert [p.size() for p in e.propagators] == [0] + ([len(batches[0])] if batches[0] else [])

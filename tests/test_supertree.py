@@ -43,7 +43,7 @@ from umtree import (
 )
 from umtree import supertree
 from umtree.generate import random_forest, random_tree
-from umtree.phylo import canonical_form, fold, iter_nodes
+from umtree.phylo import canonical_form, clusters, fold, iter_nodes
 from umtree.ultrametric import UltrametricMatrix
 
 import oracles
@@ -377,7 +377,31 @@ def test_greedy_output_displays_accepted_atoms():
         )
         m = tree_to_matrix(tree)
         assert all(atom_holds(m, a) for a in report.accepted)
-        assert set(report.violated) <= set(report.rejected)
+        assert report.violated == tuple(a for a in report.rejected if not atom_holds(m, a))
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_greedy_judges_atoms_like_the_output_matrix(mode):
+    # greedy judges its rejected atoms by the output tree's clusters; the
+    # output's mrca matrix judges them independently. A rejected atom
+    # always breaks the output, so random atoms, which may hold, check the
+    # cluster rule both ways
+    outcomes = set()
+    for seed in range(20):
+        rng = random.Random(seed)
+        trees = random_forest(rng.randint(6, 30), 3, 0.25, rng, binary=seed % 2 == 0)
+        trees[0] = swap_leaves(trees[0], *rng.sample(sorted(leaf_labels(trees[0])), 2))
+        tree, report = greedy_build(Forest.from_trees(trees), mode)
+        m = tree_to_matrix(tree)
+        assert report.violated == tuple(a for a in report.rejected if not atom_holds(m, a))
+        spans = clusters(tree).values()
+        for _ in range(30):
+            a, b, c = rng.sample(m.labels, 3)
+            atom = Triple.of(a, b, c) if rng.random() < 0.5 else Fan.of(a, b, c)
+            holds = atom_holds(m, atom)
+            assert supertree._displayed(spans, atom) == holds
+            outcomes.add((type(atom), holds))
+    assert len(outcomes) == 4
 
 
 def test_greedy_report_json():
@@ -919,6 +943,26 @@ def test_a_sub_forest_has_no_higher_lower_bound(n, mode, binary):
     full, sub = models
     at = [full.matrix.index[s] for s in sub.forest.species]
     assert (sub.matrix.lower_bounds() <= full.matrix.lower_bounds()[np.ix_(at, at)]).all()
+
+
+@pytest.mark.parametrize("n, mode", [(30, "soft"), (45, "hard"), (60, "soft"), (60, "hard")])
+def test_a_super_forest_of_an_incompatible_forest_is_incompatible(n, mode):
+    # a solution of more atoms is a solution of fewer, so adding trees to
+    # an incompatible forest cannot make it compatible
+    rng = random.Random(n)
+    trees = random_forest(n, 3, 0.25, rng, binary=mode == "soft")
+    labels = sorted(leaf_labels(trees[0]))
+    for _ in range(20):  # swap two leaves until the forest is incompatible
+        swapped = [swap_leaves(trees[0], *rng.sample(labels, 2))] + trees[1:]
+        if cp_build(build_model(Forest.from_trees(swapped), mode)) is None:
+            break
+    else:
+        pytest.fail("no leaf swap made the forest incompatible")
+    extra = [trees[0], random_tree(rng.sample(labels, len(labels) // 2), rng)]
+    extra += random_forest(n, 2, 0.5, rng)
+    for more in (extra[:1], extra[1:2], extra):
+        assert cp_build(build_model(Forest.from_trees(swapped + more), mode)) is None
+        assert cp_build(build_model(Forest.from_trees(more + swapped[::-1]), mode)) is None
 
 
 # -- statistics ---------------------------------------------------------------------------

@@ -218,8 +218,8 @@ def test_matrix_unconstrained_stays_at_one():
 
 
 def test_new_var_after_matrix_propagation():
-    # the matrix wake and lower_bounds read the bounds through numpy
-    # views; a view that outlived them would stop the arrays from growing
+    # the store lends no view of its bounds: lower_bounds copies them,
+    # so the bounds still grow after it has read them
     s, e, m = _matrix_engine(8)
     post_um_matrix(e, m)
     post_atom(e, m, Triple.of("s0", "s1", "s2"))
@@ -242,16 +242,12 @@ def test_matrix_cells_are_one_row_major_block(n):
         assert m.cell(i, j) == m.cell(j, i) == v
         k = v - m.cell_vars[0]
         assert (m.pairs[2 * k], m.pairs[2 * k + 1]) == (i, j)
-    assert (m.cell_ids == m.cell_ids.T).all()
     assert all(s.domain(v) == (1, n - 1) for v in m.cell_vars)
     assert len(m.pairs) == 2 * len(m.cell_vars)
-    # the flat array the propagator indexes is the storage of cell_ids
-    m.cell_ids[...] += 1
-    assert list(m.flat_ids) == m.cell_ids.reshape(-1).tolist()
 
 
 def test_matrix_holds_no_per_cell_python_objects():
-    # at n=300 the two bound arrays, cell_ids and pairs take about 0.7 MB
+    # at n=300 the two bound lists, flat_ids and pairs take about 0.7 MB
     # per kind; a Python list of ints per row would add 3.6 MB
     labels = [f"s{i}" for i in range(300)]
     tracemalloc.start()
