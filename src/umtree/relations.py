@@ -24,10 +24,14 @@ class by name.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .engine import Engine, Propagator
 from .store import Event, Store
 from .phylo import Fan, Triple
-from .ultrametric import MrcaMatrix
+
+if TYPE_CHECKING:  # ultrametric imports this module: its propagator reads the rows
+    from .ultrametric import MrcaMatrix
 
 _MIN = Event.MIN
 

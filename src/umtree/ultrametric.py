@@ -15,11 +15,14 @@ is a hierarchy of clusters: i and j share a cluster at depth d exactly
 when lb(i, j) >= d. The propagator keeps that hierarchy, one partition
 of the species per depth, and applies both per-triple closed forms to
 whole clusters, so a wake costs in proportion to the bounds it narrows
-and the clusters it merges, not to the size of the matrix.
+and the clusters it merges, not to the size of the matrix. It proves
+incompatibility the way BUILD does: a cluster that cannot split, because
+the rows inside it connect it, fails the store.
 """
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from itertools import islice
 from typing import Sequence
@@ -28,9 +31,18 @@ import numpy as np
 
 from .engine import Engine, Propagator
 from .phylo import PhyloTree, leaf
+from .relations import Equal, Less, LessEq
 from .store import Event, Store
 
 _MIN = Event.MIN
+
+# per row kind: the cells whose pair, once joined, lets the row join
+# pairs (none: it always does), and the cells whose pairs it joins
+_CLOSURE = {
+    Less: (slice(0), slice(1, None)),
+    LessEq: (slice(1), slice(1, None)),
+    Equal: (slice(None), slice(None)),
+}
 
 
 class MrcaMatrix:
@@ -127,25 +139,42 @@ class UltrametricMatrix(Propagator):
     does work in proportion to the records it reads, the bounds it
     narrows and the clusters it merges.
 
+    A cluster S of at least three species that is still one cluster a
+    depth deeper has no top split yet, and the rows inside it may prove
+    that it has none (`_connected`). Such a cluster's lower bounds would
+    otherwise climb one depth per round until a cell passed n-1, so the
+    wake fails the store at once. A merge whose cluster has the size of
+    its parent cluster one depth up flags it in `unsplit_at`; the flags
+    are re-checked when the wake has read all its records, because the
+    parent may have grown since. The rule reads no bound and fails only
+    rows that have no solution, so it changes no fixpoint.
+
+    The rows live in the engine's relation tables, which the propagator
+    reaches through `engine`, a weak reference: a strong one would make
+    every model a reference cycle (the engine's list holds the
+    propagator), left to the cyclic garbage collector.
+
     Registering it needs no wake: cells are constructed at [1, n-1],
     which is already bounds-consistent (all-equal tuples support every
     bound) and leaves every cluster a single species.
     """
 
-    __slots__ = ("matrix", "cid", "members", "low", "log")
+    __slots__ = ("matrix", "engine", "cid", "members", "low", "log", "unsplit_at")
 
     LEVEL = 1  # woken once the relations are at their fixpoint
 
-    def __init__(self, matrix: MrcaMatrix):
+    def __init__(self, matrix: MrcaMatrix, engine: Engine):
         lo, hi = matrix.cell_vars.start, matrix.cell_vars.stop
         lbs, ubs = matrix.store.lbs, matrix.store.ubs
         if lo < hi and (max(islice(lbs, lo, hi)) > 1 or min(islice(ubs, lo, hi)) < matrix.n - 1):
             raise ValueError("the matrix propagator needs every cell at [1, n-1] when registered")
         self.matrix = matrix
+        self.engine = weakref.ref(engine)
         self.cid: list[list[int] | None] = [None] * matrix.n
         self.members: list[dict[int, list[int]] | None] = [None] * matrix.n
         self.low: dict[int, set[int]] = {}
         self.log: list[tuple[int, ...]] = []
+        self.unsplit_at: list[tuple[int, int]] = []  # (depth, species) flagged this wake
 
     def size(self) -> int:
         return len(self.log)
@@ -231,6 +260,8 @@ class UltrametricMatrix(Propagator):
         pairs = mat.pairs
         lbs, ubs = store.lbs, store.ubs
         cids = self.cid
+        flags = self.unsplit_at
+        flags.clear()  # a failed wake leaves its flags behind
         for v, ev, _ in store.trail[start:end]:
             if lo <= v < hi:
                 k = 2 * (v - lo)
@@ -246,6 +277,8 @@ class UltrametricMatrix(Propagator):
                     self._separate(store, i, j, ubs[v])
                     if store.failed:
                         return
+        if flags:
+            self._refute(store)
 
     def _join(self, store: Store, i: int, j: int, a: int) -> None:
         """lb(i, j) rose to a: join the clusters of i and j at every depth
@@ -253,6 +286,7 @@ class UltrametricMatrix(Propagator):
         n = self.matrix.n
         ids = self.matrix.flat_ids
         lbs = store.lbs
+        size = 0  # of the cluster merged one depth deeper
         for d in range(a, 1, -1):
             cid = self.cid[d]
             if cid is None:
@@ -260,6 +294,8 @@ class UltrametricMatrix(Propagator):
                 self.members[d] = {}
             ci, cj = cid[i], cid[j]
             if ci == cj:
+                if len(self.members[d][ci]) == size:
+                    self.unsplit_at.append((d + 1, i))
                 return
             mem = self.members[d]
             A = mem.get(ci) or [ci]
@@ -283,6 +319,87 @@ class UltrametricMatrix(Propagator):
             mem[ci] = A
             mem.pop(cj, None)
             self.log.append((d, ci, cj, len(B)))
+            if len(A) == size:
+                self.unsplit_at.append((d + 1, i))
+            size = len(A)
+        if size == n:  # depth 1 is the whole species set
+            self.unsplit_at.append((2, i))
+
+    def _refute(self, store: Store) -> None:
+        """Fail the store if a flagged cluster of at least three species
+        still equals its parent cluster and the rows inside it connect it."""
+        n = self.matrix.n
+        seen = set()
+        for d, x in self.unsplit_at:
+            c = self.cid[d][x]
+            if (d, c) in seen:
+                continue
+            seen.add((d, c))
+            S = self.members[d][c]
+            parent = n if d == 2 else len(self.members[d - 1][self.cid[d - 1][x]])
+            if len(S) >= 3 and len(S) == parent and self._connected(S, d):
+                v = self.matrix.cell(S[0], S[1])
+                store.tighten_lb(v, store.ubs[v] + 1)
+                return
+
+    def _connected(self, S: list[int], d: int) -> bool:
+        """Whether the rows inside cluster S at depth d connect it.
+
+        In any solution S has a top split, and the pairs across its parts
+        take the least value among S's pairs, so a row whose cells all lie
+        in S joins pairs into one part: a `Less` row (u, w) joins w's
+        pair, a `LessEq` row once u's pair is joined, an `Equal` group all
+        its pairs once one is joined. A closure that joins all of S leaves
+        no top split: S has no solution. Rows naming a variable outside
+        the matrix are skipped, which only weakens the rule."""
+        mat = self.matrix
+        lo, hi, pairs = mat.cell_vars.start, mat.cell_vars.stop, mat.pairs
+        cid = self.cid[d]
+        c = cid[S[0]]
+        up = {x: x for x in S}
+
+        def find(x: int) -> int:
+            while up[x] != x:
+                up[x] = x = up[up[x]]
+            return x
+
+        def inside(row) -> list[tuple[int, int]] | None:
+            out = []
+            for v in row:
+                if not lo <= v < hi:
+                    return None
+                k = 2 * (v - lo)
+                i, j = pairs[k], pairs[k + 1]
+                if cid[i] != c or cid[j] != c:
+                    return None
+                out.append((i, j))
+            return out
+
+        parts = len(S)
+        pending = []  # (premise pairs, joined pairs) of each row inside S
+        for table in self.engine().propagators:
+            if type(table) not in _CLOSURE:
+                continue
+            premise, joins = _CLOSURE[type(table)]
+            for row in table.rows:
+                cells = inside(row)
+                if cells is not None:
+                    pending.append((cells[premise], cells[joins]))
+        joined = True
+        while joined and parts > 1:
+            joined, rest = False, []
+            for premises, targets in pending:
+                if premises and all(find(i) != find(j) for i, j in premises):
+                    rest.append((premises, targets))
+                    continue
+                joined = True
+                for i, j in targets:
+                    ri, rj = find(i), find(j)
+                    if ri != rj:
+                        up[ri] = rj
+                        parts -= 1
+            pending = rest
+        return parts == 1
 
     def _cut(self, store: Store, r: int, T: list[int], b: int) -> None:
         """T joins the cluster of r at depth b + 1: every cell (r, k)
@@ -333,6 +450,6 @@ def post_um_matrix(engine: Engine, matrix: MrcaMatrix) -> UltrametricMatrix:
     """Register the single matrix propagator. It adds no per-cell state
     to the engine: its partitions are created as lower bounds reach
     their depths."""
-    p = UltrametricMatrix(matrix)
+    p = UltrametricMatrix(matrix, engine)
     engine.register(p)
     return p

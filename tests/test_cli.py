@@ -61,10 +61,10 @@ def test_build_parse_error_names_the_file_and_its_offset(tmp_path, capsys):
 
 def test_build_writes_output_file(tmp_path, capsys):
     f1 = _write(tmp_path, "t.nwk", "((a,b),c);\n")
-    out = str(tmp_path / "super.nwk")
-    assert main(["build", f1, "--out", out]) == 0
+    out = tmp_path / "super.nwk"
+    assert main(["build", f1, "--out", str(out)]) == 0
     capsys.readouterr()
-    assert isomorphic(parse_newick(open(out).read().strip()), parse_newick("((a,b),c);"))
+    assert isomorphic(parse_newick(out.read_text().strip()), parse_newick("((a,b),c);"))
 
 
 def test_build_stats_only_on_stderr(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import random
 import statistics
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -196,15 +198,18 @@ def test_build_oracle_matches_brute_force_small():
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("seed", range(32))
+@pytest.mark.parametrize("seed", range(36))
 def test_cp_build_verdict_matches_build_at_size(seed):
     # BUILD with the fan closure decides compatibility independently of
     # the propagator. Seeds 0-19 draw binary forests, which break up into
-    # triples only in both modes; seeds 20-31 multifurcating ones.
-    binary = seed < 20
+    # triples only in both modes; seeds 20-31 multifurcating ones. Seeds
+    # 32-35 draw leaf-swapped forests at n=150-300, binary and
+    # multifurcating, which a cluster closure refutes in about one round.
+    binary = seed < 20 or seed in (32, 34)
     rng = random.Random(seed)
-    trees = random_forest(rng.randint(40, 80), 3, 0.25, rng, binary=binary)
-    if seed % 2:
+    n = rng.randint(40, 80) if seed < 32 else 50 * (seed - 29)
+    trees = random_forest(n, 3, 0.25, rng, binary=binary)
+    if seed % 2 or seed >= 32:
         trees[0] = swap_leaves(trees[0], *rng.sample(sorted(leaf_labels(trees[0])), 2))
     forest = Forest.from_trees(trees)
     for mode in ("hard", "soft"):
@@ -945,7 +950,10 @@ def test_a_sub_forest_has_no_higher_lower_bound(n, mode, binary):
     assert (sub.matrix.lower_bounds() <= full.matrix.lower_bounds()[np.ix_(at, at)]).all()
 
 
-@pytest.mark.parametrize("n, mode", [(30, "soft"), (45, "hard"), (60, "soft"), (60, "hard")])
+@pytest.mark.parametrize(
+    "n, mode",
+    [(30, "soft"), (45, "hard"), (60, "soft"), (60, "hard"), (100, "soft"), (150, "hard"), (200, "soft"), (200, "hard")],
+)
 def test_a_super_forest_of_an_incompatible_forest_is_incompatible(n, mode):
     # a solution of more atoms is a solution of fewer, so adding trees to
     # an incompatible forest cannot make it compatible
@@ -963,6 +971,136 @@ def test_a_super_forest_of_an_incompatible_forest_is_incompatible(n, mode):
     for more in (extra[:1], extra[1:2], extra):
         assert cp_build(build_model(Forest.from_trees(swapped + more), mode)) is None
         assert cp_build(build_model(Forest.from_trees(more + swapped[::-1]), mode)) is None
+
+
+# -- refutation by cluster closure --------------------------------------------------------
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """(species labels of S, verdict) of every closure the matrix
+    propagator runs; a True verdict fails the store."""
+    seen = []
+    connected = UltrametricMatrix._connected
+
+    def recording(self, S, d):
+        got = connected(self, S, d)
+        seen.append((frozenset(self.matrix.labels[x] for x in S), got))
+        return got
+
+    monkeypatch.setattr(UltrametricMatrix, "_connected", recording)
+    return seen
+
+
+def _bench19_swapped(n, seed):
+    """random_forest(n, 3, 0.25) with two leaves of its first tree
+    exchanged, both drawn the way the BENCH_*.json ladders draw them."""
+    trees = random_forest(n, 3, 0.25, random.Random(seed))
+    trees[0] = swap_leaves(trees[0], *random.Random(seed).sample(sorted(leaf_labels(trees[0])), 2))
+    return Forest.from_trees(trees)
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_each_refuting_cluster_is_rejected_by_build(closures, mode):
+    # the rule is sound: BUILD, run on the atoms inside the failing S
+    # alone, finds no tree on S either
+    rng = random.Random(7)
+    fired = 0
+    for n in (20, 40, 80, 120, 200):
+        for binary in (True, False):
+            trees = random_forest(n, 3, 0.25, rng, binary=binary)
+            trees[0] = swap_leaves(trees[0], *rng.sample(sorted(leaf_labels(trees[0])), 2))
+            forest = Forest.from_trees(trees)
+            closures.clear()
+            model = build_model(forest, mode)
+            got = cp_build(model)
+            failing = [S for S, connected in closures if connected]
+            assert len(failing) <= (got is None)  # a small refutation may fail before any closure
+            for S in failing:
+                inside = [a for a in model.atoms if set(a.species) <= S]
+                assert not build_compatible(inside, sorted(S))
+            fired += len(failing)
+    assert fired >= 4
+
+
+def test_the_rule_never_fires_on_compatible_models(closures):
+    rng = random.Random(11)
+    for n in (20, 60, 150):  # plain forests, both modes
+        for mode in ("hard", "soft"):
+            assert cp_build(build_model(Forest.from_trees(random_forest(n, 3, 0.25, rng)), mode))
+    built = 0
+    while built < 20:  # ranked with gaps: clusters stay unsplit for a level, so closures run
+        n = rng.randint(6, 40)
+        labels = species_labels(n)
+        master = _gapped_ranks(random_tree(labels, rng), rng, n)
+        if master is None:
+            continue
+        trees = [restrict_and_suppress(master, rng.sample(labels, rng.randint(3, n))) for _ in "ab"]
+        outcome = build_supertree(Forest.from_trees([master] + trees), rng.choice(("hard", "soft")))
+        assert outcome.status == "compatible"
+        built += 1
+    ran = len(closures)
+    for n in (12, 30, 60):  # date bounds and predates that the supertree meets
+        forest = Forest.from_trees(random_forest(n, 3, 0.25, rng))
+        tree = cp_build(build_model(forest))
+        depth = tree_to_matrix(tree)
+        sides = []
+        for _ in range(n):
+            a, b, c, d = rng.sample(forest.species, 4)
+            if depth.value(c, d) < depth.value(a, b):
+                sides.append(Predates(c, d, a, b))
+            sides.append(DateBounds(a, b, rng.randint(1, depth.value(a, b)), n - 1))
+        for nd in iter_nodes(tree):  # every cherry as deep as it can go
+            if len(nd.children) == 2 and all(k.is_leaf for k in nd.children):
+                sides.append(DateBounds(nd.children[0].label, nd.children[1].label, n - 1, n - 1))
+        assert canonical_form(cp_build(build_model(forest, "hard", sides=sides))) == canonical_form(tree)
+    for newicks in (  # nested taxa: their rows name taxon variables
+        ("((a,b)T,c);", "(T,d);"),
+        ("(((a,b)P,c)Q,(d,e));", "((Q,f),g);", "((a,b),(c,h));"),
+    ):
+        assert build_supertree(_forest(*newicks)).status == "compatible"
+    trees = random_forest(40, 3, 0.25, rng)
+    named = fold(
+        trees[0],
+        lambda nd: nd,
+        lambda nd, kids: PhyloTree(children=tuple(kids), label=f"T{min(leaf_labels(nd))}_{len(leaf_labels(nd))}"),
+    )
+    assert build_supertree(Forest.from_trees([named] + trees[1:])).status == "compatible"
+    assert ran > 0 and not any(connected for _, connected in closures)
+
+
+def test_bench_swapped_forest_is_refuted_in_few_trail_records():
+    # climbing every cell to n - 1 took 3.74M trail records here
+    model = build_model(_bench19_swapped(200, 0), "hard")
+    assert model.engine.propagate() is PropagateResult.FAILURE
+    assert len(model.store.trail) <= 100_000
+
+
+def test_a_propagated_model_is_freed_without_the_cycle_collector():
+    forest = Forest.from_trees(random_forest(30, 3, 0.25, random.Random(5)))
+    gc.collect()
+    gc.disable()
+    try:
+        for probe in (False, True):
+            model = build_model(forest)
+            assert model.engine.propagate() is PropagateResult.FIXPOINT
+            if probe:  # a failed probe, then restored
+                cp = model.engine.checkpoint()
+                a = next(iter(model.atoms))
+                for alt in supertree._alternatives(a):
+                    post_atom(model.engine, model.matrix, alt)
+                assert model.engine.propagate() is PropagateResult.FAILURE
+                model.engine.restore(cp)
+            refs = weakref.ref(model), weakref.ref(model.engine)
+            del model
+            assert [r() for r in refs] == [None, None]
+        model = build_model(_bench19_swapped(40, 1))
+        assert model.engine.propagate() is PropagateResult.FAILURE
+        refs = weakref.ref(model), weakref.ref(model.engine)
+        del model
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 # -- statistics ---------------------------------------------------------------------------
