@@ -162,7 +162,8 @@ def _cmd_greedy(args) -> int:
     tree, report, model = greedy_build_with_model(forest, mode=args.mode)
     ms = (time.perf_counter() - t0) * 1e3
     print(
-        _stats_json(model, 0.0, ms, "compatible", {"report": report.to_json()}),
+        _stats_json(model, 0.0, ms, "incompatible" if report.rejected else "compatible",
+                    {"report": report.to_json()}),
         file=sys.stderr,
     )
     _emit(serialize_newick(tree) + "\n", args.out)

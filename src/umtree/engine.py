@@ -93,8 +93,10 @@ class Engine:
     Each wake is one count in `RunStats.wakes`, however many records it
     reads. Among the due propagators the engine wakes one of the lowest
     `LEVEL`, and within a level the one with the smallest cursor, the one
-    that has waited longest. `rng`, when given, draws uniformly among all
-    due propagators of both levels instead; the fixpoint is the same for
+    that has waited longest; on a tie, as after a restore leaves every
+    cursor at one position, the first registered. It picks in one pass,
+    with no list. `rng`, when given, draws uniformly among all due
+    propagators of both levels instead; the fixpoint is the same for
     monotone propagators (used to test confluence), so ordering is a
     performance choice only.
     """
@@ -127,15 +129,23 @@ class Engine:
         trail = store.trail
         stats = self.stats
         rng = self._rng
+        propagators = self.propagators
         while not store.failed:
             end = len(trail)
-            due = [p for p in self.propagators if p.seen < end]
-            if not due:
-                return PropagateResult.FIXPOINT
             if rng is None:
-                p = min(due, key=lambda q: (q.LEVEL, q.seen))
+                # one pass: as seen < end, LEVEL * end + seen orders by (LEVEL, seen)
+                # and, LEVEL being 0 or 1, stays below 2 * end
+                p, least = None, 2 * end
+                for q in propagators:
+                    if q.seen < end:
+                        key = q.LEVEL * end + q.seen
+                        if key < least:
+                            p, least = q, key
             else:
-                p = due[rng.randrange(len(due))]
+                due = [q for q in propagators if q.seen < end]
+                p = due[rng.randrange(len(due))] if due else None
+            if p is None:
+                return PropagateResult.FIXPOINT
             start, p.seen = p.seen, end
             stats.wakes += 1
             p.wake(store, start, end)

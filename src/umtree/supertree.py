@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
-from .engine import Engine, PropagateResult
+from .engine import Engine, EngineCheckpoint, PropagateResult
 from .phylo import (
     Atom,
     Fan,
@@ -274,16 +274,19 @@ def _alternatives(atom: Atom) -> list[Atom]:
     return [a for a in all_four if a != atom]
 
 
-def _propagates(model: SupertreeModel, atoms: Iterable[Atom]) -> bool:
-    """Post the atoms on the model's fixpoint, propagate, and undo both;
-    True when the posted model reached a fixpoint."""
+def _probe(model: SupertreeModel, atoms: Iterable[Atom]) -> EngineCheckpoint | None:
+    """Post the atoms on a checkpoint of the model's fixpoint and propagate.
+    At a fixpoint the atoms stay posted and the checkpoint that undoes
+    them is returned; on failure the model is restored at once and the
+    result is None."""
     engine = model.engine
     cp = engine.checkpoint()
     for a in atoms:
         post_atom(engine, model.matrix, a)
-    ok = engine.propagate() is PropagateResult.FIXPOINT
+    if engine.propagate() is PropagateResult.FIXPOINT:
+        return cp
     engine.restore(cp)
-    return ok
+    return None
 
 
 def necessity(forest: Forest, atom: Atom, mode: str = "hard") -> bool:
@@ -300,7 +303,7 @@ def necessity(forest: Forest, atom: Atom, mode: str = "hard") -> bool:
             raise SpeciesNotFoundError(f"unknown species {s!r}")
     if model.engine.propagate() is PropagateResult.FAILURE:
         raise PreconditionError("necessity requires a compatible forest")
-    return not any(_propagates(model, [alt]) for alt in _alternatives(atom))
+    return all(_probe(model, [alt]) is None for alt in _alternatives(atom))
 
 
 # -- greedy building ------------------------------------------------------------
@@ -312,7 +315,10 @@ class GreedyReport:
 
     accepted: tuple[Atom, ...]
     rejected: tuple[Atom, ...]
-    violated: tuple[Atom, ...]  # rejected atoms the output actually violates
+    # rejected atoms the output violates, judged by its clusters: always
+    # `rejected`, since each failed on bounds that only narrowed after it
+    # and the output is read off them; a self-check of the output
+    violated: tuple[Atom, ...]
 
     def to_json(self) -> dict:
         return {
@@ -345,19 +351,12 @@ def greedy_build_with_model(
     forest: Forest, mode: str = "hard"
 ) -> tuple[PhyloTree, GreedyReport, SupertreeModel]:
     model = build_model(forest, mode, post_atoms=False)
-    engine = model.engine
-    res = engine.propagate()
+    res = model.engine.propagate()
     assert res is PropagateResult.FIXPOINT
     accepted: list[Atom] = []
     rejected: list[Atom] = []
     for atom in model.atoms:
-        cp = engine.checkpoint()
-        post_atom(engine, model.matrix, atom)
-        if engine.propagate() is PropagateResult.FAILURE:
-            engine.restore(cp)
-            rejected.append(atom)
-        else:
-            accepted.append(atom)
+        (rejected if _probe(model, [atom]) is None else accepted).append(atom)
     tree = matrix_to_tree(model)
     spans = clusters(tree).values()
     violated = tuple(a for a in rejected if not _displayed(spans, a))
@@ -389,28 +388,36 @@ def explain_conflict(forest: Forest, mode: str = "hard") -> ConflictCore:
     Preference follows input order. Posting the returned core fails;
     removing any single member makes it propagate to fixpoint. Requires
     an incompatible forest (PreconditionError otherwise).
+
+    The base stays posted: each consistency check posts only its delta on
+    the fixpoint of its caller's base (`_probe`), and a delta that
+    propagates is undone when the recursion that needs it returns.
     """
     model = build_model(forest, mode, post_atoms=False)
     res = model.engine.propagate()
     assert res is PropagateResult.FIXPOINT
-    if _propagates(model, model.atoms):
+    if _probe(model, model.atoms) is not None:
         raise PreconditionError("explain_conflict requires an incompatible forest")
     probes = [0]
 
-    def qx(base: list[Atom], delta: list[Atom], cands: list[Atom]) -> list[Atom]:
+    def qx(delta: list[Atom], cands: list[Atom]) -> list[Atom]:
+        cp = None
         if delta:
             probes[0] += 1
-            if not _propagates(model, base):
+            cp = _probe(model, delta)
+            if cp is None:
                 return []
-        if len(cands) == 1:
-            return list(cands)
-        half = len(cands) // 2
-        c1, c2 = cands[:half], cands[half:]
-        d2 = qx(base + c1, c1, c2)
-        d1 = qx(base + d2, d2, c1)
-        return d1 + d2
+        core = cands
+        if len(cands) > 1:
+            half = len(cands) // 2
+            c1, c2 = cands[:half], cands[half:]
+            d2 = qx(c1, c2)
+            core = qx(d2, c1) + d2
+        if cp is not None:
+            model.engine.restore(cp)
+        return core
 
-    members = set(qx([], [], list(model.atoms)))
+    members = set(qx([], list(model.atoms)))
     return ConflictCore(tuple(a for a in model.atoms if a in members), probes[0])
 
 

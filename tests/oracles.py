@@ -12,8 +12,11 @@ reusing the propagation code paths it checks. It holds
   propagator is needed;
 * the brute-force generator of every rooted tree, `all_rooted_trees`;
 * the implementations that faster code replaced, as references:
-  `RowWakeMatrix`, the scalar relations, and the Prim read-off
-  `matrix_to_tree` with its `NotUltrametricError`;
+  `RowWakeMatrix`, the scalar relations, the Prim read-off
+  `matrix_to_tree` with its `NotUltrametricError`, the engine that picks
+  its wake as a `min` over a list of the due propagators
+  (`MinDueEngine`), and the QuickXplain that re-posts its whole base for
+  every check (`quickxplain_reposting`);
 * two helpers that build test forests, and the tree-side oracles, among
   them BUILD with fans, the polynomial compatibility test for rooted
   triples and fans.
@@ -30,17 +33,21 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from umtree import (
+    ConflictCore,
     Engine,
     Event,
     Fan,
     PhyloTree,
+    PreconditionError,
     PropagateResult,
     Store,
     Triple,
     UltrametricIntMatrix,
+    build_model,
     displays,
     leaf,
     leaf_labels,
+    post_atom,
     tree_to_matrix,
 )
 from umtree.engine import Propagator
@@ -432,6 +439,67 @@ def post_scalar_atom(engine, matrix, atom):
     else:
         xy, xz, yz = cell(atom.x, atom.y), cell(atom.x, atom.z), cell(atom.y, atom.z)
         post_woken(engine, ScalarEqual(xy, xz, yz))
+
+
+# -- the replaced engine pick and QuickXplain -----------------------------------------
+
+
+class MinDueEngine(Engine):
+    """The engine with its former pick: a list of the due propagators and
+    `min` over (LEVEL, seen), whose first minimum is the first registered
+    on a tie. The one-pass pick must reproduce it wake for wake."""
+
+    def propagate(self) -> PropagateResult:
+        store, stats = self.store, self.stats
+        while not store.failed:
+            end = len(store.trail)
+            due = [p for p in self.propagators if p.seen < end]
+            if not due:
+                return PropagateResult.FIXPOINT
+            p = min(due, key=lambda q: (q.LEVEL, q.seen))
+            start, p.seen = p.seen, end
+            stats.wakes += 1
+            p.wake(store, start, end)
+        stats.failures += 1
+        return PropagateResult.FAILURE
+
+
+def quickxplain_reposting(forest, mode: str = "hard") -> ConflictCore:
+    """QuickXplain (Junker, AAAI 2004) as `explain_conflict` ran it before
+    it kept its base posted: every consistency check posts its whole base
+    on the root fixpoint, propagates, and restores."""
+    model = build_model(forest, mode, post_atoms=False)
+    engine = model.engine
+    assert engine.propagate() is PropagateResult.FIXPOINT
+
+    def propagates(atoms) -> bool:
+        cp = engine.checkpoint()
+        for a in atoms:
+            post_atom(engine, model.matrix, a)
+        ok = engine.propagate() is PropagateResult.FIXPOINT
+        engine.restore(cp)
+        return ok
+
+    if propagates(model.atoms):
+        raise PreconditionError("explain_conflict requires an incompatible forest")
+    probes = 0
+
+    def qx(base: list, delta: list, cands: list) -> list:
+        nonlocal probes
+        if delta:
+            probes += 1
+            if not propagates(base):
+                return []
+        if len(cands) == 1:
+            return list(cands)
+        half = len(cands) // 2
+        c1, c2 = cands[:half], cands[half:]
+        d2 = qx(base + c1, c1, c2)
+        d1 = qx(base + d2, d2, c1)
+        return d1 + d2
+
+    members = set(qx([], [], list(model.atoms)))
+    return ConflictCore(tuple(a for a in model.atoms if a in members), probes)
 
 
 # -- the Prim read-off ---------------------------------------------------------------

@@ -85,6 +85,23 @@ def test_greedy_reports_rejected(tmp_path, capsys):
     assert stats["report"]["rejected"] == ["(a,c)b"]
 
 
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_greedy_result_says_whether_it_dropped_an_atom(tmp_path, capsys, mode):
+    # `result` is the verdict on the input; greedy exits 0 either way
+    inc = _write(tmp_path, "inc.nwk", "((a,b),c);\n((a,c),b);\n")
+    assert main(["greedy", inc, "--mode", mode]) == 0
+    out, err = capsys.readouterr()
+    stats = json.loads(err.strip())
+    assert stats["result"] == "incompatible" and stats["report"]["rejected"] == ["(a,c)b"]
+    assert len(out.splitlines()) == 1
+    comp = _write(tmp_path, "comp.nwk", "((a,b),c);\n((a,b),d);\n")
+    assert main(["greedy", comp, "--mode", mode]) == 0
+    out, err = capsys.readouterr()
+    stats = json.loads(err.strip())
+    assert stats["result"] == "compatible" and stats["report"]["rejected"] == []
+    assert displays(parse_newick(out.strip()), parse_newick("((a,b),d);"))
+
+
 def test_necessity_outputs(tmp_path, capsys):
     f1 = _write(tmp_path, "t.nwk", "((a,b),c);\n")
     assert main(["necessity", f1, "--atom", "(a,b)c", "--mode", "soft"]) == 0

@@ -8,19 +8,26 @@ from umtree import (
     MrcaMatrix,
     PropagateResult,
     Store,
+    Triple,
+    cp_build,
+    enumerate_supertrees,
+    explain_conflict,
+    greedy_build,
     hard_breakup,
     leaf_labels,
+    necessity,
     post_atom,
     post_eq2,
     post_lt,
     post_um_matrix,
     random_forest,
     soft_breakup,
+    supertree,
 )
 from umtree.engine import Propagator
 from umtree.store import Event
 
-from oracles import ScalarLess, post_um3, swap_leaves, um3_wake
+from oracles import MinDueEngine, ScalarLess, post_um3, swap_leaves, um3_wake
 
 
 def _due_first_level(engine):
@@ -409,3 +416,105 @@ def test_failure_is_confluent_on_a_swapped_ladder_forest(mode):
     # is incompatible: the default order and two random orders all fail
     for rng in (None, random.Random(1), random.Random(2)):
         assert _ladder_fixpoint(100, mode, rng, swap_seed=2) == (PropagateResult.FAILURE, None)
+
+
+# -- the one-pass wake pick ---------------------------------------------------------
+
+
+def _recording(engine_cls, log):
+    """engine_cls, logging after each propagate its verdict, its trail and
+    its wake count."""
+
+    class Recording(engine_cls):
+        def propagate(self):
+            res = super().propagate()
+            log.append((res, tuple(self.store.trail), self.stats.wakes))
+            return res
+
+    return Recording
+
+
+def _swapped(n, seed, binary):
+    rng = random.Random(seed)
+    trees = random_forest(n, 3, 0.25, rng, binary=binary)
+    trees[0] = swap_leaves(trees[0], *rng.sample(sorted(leaf_labels(trees[0])), 2))
+    return Forest.from_trees(trees)
+
+
+def _necessity_both_ways(forest, mode):
+    atoms = list(supertree.build_model(forest, mode, post_atoms=False).atoms)
+    x, y, z = atoms[0].species
+    return [necessity(forest, a, mode) for a in (atoms[0], Triple.of(x, z, y), Triple.of(y, z, x))]
+
+
+_QUERIES = {
+    "cp_build": lambda f, mode: cp_build(supertree.build_model(f, mode)),
+    "greedy": greedy_build,
+    "necessity": _necessity_both_ways,
+    "explain": explain_conflict,
+    "enumerate": lambda f, mode: enumerate_supertrees(supertree.build_model(f, mode), 10),
+}
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+@pytest.mark.parametrize("query", sorted(_QUERIES))
+def test_one_pass_pick_wakes_like_min_over_due(monkeypatch, query, mode):
+    # the one-pass pick and the former min over a list of the due
+    # propagators leave the same trail and wake count after every
+    # propagate, across the checkpoints and restores of every query
+    if query == "enumerate":
+        forests = [Forest.from_trees(random_forest(8, 3, 0.4, random.Random(s))) for s in range(3)]
+    else:
+        forests = [_swapped(n, s, s % 2 == 0) for s, n in enumerate((12, 20, 30))]
+        if query in ("cp_build", "greedy", "necessity"):
+            forests += [Forest.from_trees(random_forest(n, 3, 0.25, random.Random(n))) for n in (12, 30)]
+    ran = 0
+    for forest in forests:
+        if query in ("explain", "necessity"):
+            incompatible = cp_build(supertree.build_model(forest, mode)) is None
+            if incompatible != (query == "explain"):
+                continue
+        ran += 1
+        logs = []
+        for engine_cls in (Engine, MinDueEngine):
+            log = []
+            monkeypatch.setattr(supertree, "Engine", _recording(engine_cls, log))
+            logs.append((_QUERIES[query](forest, mode), log))
+        assert logs[0][1] and logs[0][1] == logs[1][1]
+        assert str(logs[0][0]) == str(logs[1][0])
+    assert ran >= 2
+
+
+class _Named(Propagator):
+    """A level-0 propagator that logs its name at each wake."""
+
+    def __init__(self, name, log):
+        self.name, self.log = name, log
+
+    def wake(self, store, start, end):
+        self.log.append(self.name)
+
+
+@pytest.mark.parametrize("engine_cls", [Engine, MinDueEngine])
+def test_a_tie_after_a_restore_wakes_the_first_registered(engine_cls):
+    # a restore leaves every cursor at one position; the next record makes
+    # all of them due at once: the level decides, then registration order
+    for names in ("ab", "ba"):
+        s = Store()
+        e = engine_cls(s)
+        x = s.new_var(1, 9)
+        log = []
+        late = _Late(e)
+        e.register(late)  # registered first, but on the deferred level
+        for name in names:
+            e.register(_Named(name, log))
+        assert e.propagate() is PropagateResult.FIXPOINT
+        cp = e.checkpoint()
+        s.tighten_lb(x, 3)
+        assert e.propagate() is PropagateResult.FIXPOINT
+        e.restore(cp)
+        assert len({p.seen for p in e.propagators}) == 1
+        del log[:]
+        s.tighten_ub(x, 5)
+        assert e.propagate() is PropagateResult.FIXPOINT
+        assert log == list(names) and late.due == [0, 0]

@@ -358,13 +358,16 @@ def test_greedy_order_dependence_documented():
 
 
 def test_greedy_compatible_equals_cp_build():
+    # on compatible input greedy keeps every atom and writes cp_build's
+    # tree byte for byte: n=4-12, then n=20-60, binary and multifurcating
     rng = random.Random(31)
-    for _ in range(15):
-        forest = Forest.from_trees(random_forest(rng.randint(4, 12), 3, 0.3, rng))
-        mode = rng.choice(["hard", "soft"])
-        tree, report = greedy_build(forest, mode)
-        assert report.rejected == ()
-        assert isomorphic(tree, cp_build(build_model(forest, mode)))
+    for i in range(24):
+        n = rng.randint(4, 12) if i < 8 else rng.randint(20, 60)
+        forest = Forest.from_trees(random_forest(n, 3, 0.3, rng, binary=i % 2 == 0))
+        for mode in ("hard", "soft"):
+            tree, report = greedy_build(forest, mode)
+            assert report.rejected == ()
+            assert serialize_newick(tree) == serialize_newick(cp_build(build_model(forest, mode)))
 
 
 def test_greedy_output_displays_accepted_atoms():
@@ -480,6 +483,39 @@ def test_explain_core_is_minimal_under_build_at_size():
         if checked >= 20:
             break
     assert checked >= 20
+
+
+def test_explain_matches_the_reposting_quickxplain():
+    # the base stays posted and each check posts only its delta; the
+    # reference re-posts the whole base on the root fixpoint. Same core,
+    # same order, same probes, on leaf-swapped forests of 6-60 species,
+    # mostly multifurcating, in both modes
+    checked, modes, fans = 0, set(), 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        trees = random_forest(rng.randint(6, 60), 3, 0.25, rng, binary=seed % 4 == 0)
+        for _ in range(1 + seed % 2):
+            ti = rng.randrange(len(trees))
+            trees[ti] = swap_leaves(trees[ti], *rng.sample(sorted(leaf_labels(trees[ti])), 2))
+        forest = Forest.from_trees(trees)
+        for mode in ("hard", "soft"):
+            if cp_build(build_model(forest, mode)) is not None:
+                continue
+            got, want = explain_conflict(forest, mode), oracles.quickxplain_reposting(forest, mode)
+            assert (got.atoms, got.probes) == (want.atoms, want.probes)
+            checked += 1
+            modes.add(mode)
+            fans += any(isinstance(a, Fan) for a in got.atoms)
+    assert checked >= 60 and modes == {"hard", "soft"} and fans >= 10
+
+
+@pytest.mark.parametrize("n, mode", [(100, "hard"), (200, "hard"), (200, "soft")])
+def test_explain_matches_the_reposting_quickxplain_at_size(n, mode):
+    # the ladder's leaf-swapped forests (soft n=100 at seed 0 is compatible)
+    forest = _bench19_swapped(n, 0)
+    got, want = explain_conflict(forest, mode), oracles.quickxplain_reposting(forest, mode)
+    assert (got.atoms, got.probes) == (want.atoms, want.probes)
+    assert len(got.atoms) >= 2
 
 
 def test_explain_conflict_on_compatible_is_usage_error():
