@@ -19,9 +19,9 @@ import time
 
 from .generate import random_forest
 from .phylo import (
+    UNRANKED,
     NewickParseError,
     displays,
-    iter_nodes,
     parse_atom,
     parse_newick_many,
     serialize_newick,
@@ -70,7 +70,7 @@ def _load_species_forest(paths) -> Forest:
     both = sorted(set(forest.taxa).intersection(forest.species))
     if both:
         raise ValueError(f"taxon {both[0]!r} also labels a leaf; only build resolves enclosing taxa")
-    if any(nd.rank is not None for t in forest.trees for nd in iter_nodes(t)):
+    if any(rank_state != UNRANKED for rank_state in forest.rank_states):
         raise ValueError("the forest has a ranked internal node; only build applies ranks")
     return forest
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .store import Checkpoint, Store
 
@@ -80,8 +81,7 @@ class Propagator:
         pass
 
 
-@dataclass(frozen=True)
-class EngineCheckpoint:
+class EngineCheckpoint(NamedTuple):
     store_cp: Checkpoint
     n_propagators: int
     sizes: tuple[int, ...]
@@ -157,13 +157,13 @@ class Engine:
     def checkpoint(self) -> EngineCheckpoint:
         """Snapshot store + scheduler state. Only valid while no
         propagator is due, so that no unread event is lost on restore."""
+        propagators = self.propagators
         end = len(self.store.trail)
-        if any(p.seen < end for p in self.propagators):
-            raise RuntimeError("checkpoint requires every propagator to have read the trail")
+        for p in propagators:
+            if p.seen < end:
+                raise RuntimeError("checkpoint requires every propagator to have read the trail")
         return EngineCheckpoint(
-            store_cp=self.store.checkpoint(),
-            n_propagators=len(self.propagators),
-            sizes=tuple(p.size() for p in self.propagators),
+            self.store.checkpoint(), len(propagators), tuple([p.size() for p in propagators])
         )
 
     def restore(self, cp: EngineCheckpoint) -> None:

@@ -21,11 +21,6 @@ import numpy as np
 
 _T = TypeVar("_T")
 
-_LABEL_RE = re.compile(r"[A-Za-z0-9_.\-]+")
-_FLOAT_RE = re.compile(r"[+-]?\d+(\.\d+)?([eE][+-]?\d+)?")
-_INT_RE = re.compile(r"\d+")
-
-
 class NewickParseError(ValueError):
     """Malformed Newick input; carries the offending position."""
 
@@ -108,20 +103,34 @@ def all_labels(tree: PhyloTree) -> frozenset[str]:
     return frozenset(n.label for n in iter_nodes(tree) if n.label is not None)
 
 
-def validate_tree(tree: PhyloTree) -> dict[str, PhyloTree]:
-    """Enforce unique labels and arity >= 2 on internal nodes; return the
-    node of every label, leaf or taxon, in preorder."""
+UNRANKED, RANKED, PARTLY_RANKED = "unranked", "ranked", "partly ranked"
+
+
+def validate_tree(tree: PhyloTree) -> tuple[dict[str, PhyloTree], str]:
+    """Enforce unique labels and arity >= 2 on internal nodes. Return the
+    node of every label, leaf or taxon, in preorder, and the tree's rank
+    state: UNRANKED, RANKED (every internal node) or PARTLY_RANKED."""
     seen: dict[str, PhyloTree] = {}
-    for n in iter_nodes(tree):
-        if not n.is_leaf and len(n.children) < 2:
-            raise ValueError("internal node with fewer than 2 children")
-        if n.is_leaf and n.label is None:
+    inner = ranked = 0
+    stack = [tree]
+    while stack:
+        nd = stack.pop()
+        kids, label = nd.children, nd.label
+        if kids:
+            if len(kids) < 2:
+                raise ValueError("internal node with fewer than 2 children")
+            inner += 1
+            ranked += nd.rank is not None
+            stack.extend(reversed(kids))
+        elif label is None:
             raise ValueError("unlabelled leaf")
-        if n.label is not None:
-            if n.label in seen:
-                raise ValueError(f"duplicate label {n.label!r}")
-            seen[n.label] = n
-    return seen
+        if label is not None:
+            if label in seen:
+                raise ValueError(f"duplicate label {label!r}")
+            seen[label] = nd
+    if not ranked:
+        return seen, UNRANKED
+    return seen, RANKED if ranked == inner else PARTLY_RANKED
 
 
 # -- relational atoms -------------------------------------------------------
@@ -195,116 +204,113 @@ def parse_atom(text: str) -> Atom:
 # -- Newick -----------------------------------------------------------------
 
 
-def _read_tree(text: str, pos: int) -> tuple[PhyloTree, int]:
-    """Read the tree at `pos` through its ';'; return it and the position
-    of the next non-space character. Errors give offsets into `text`."""
-    size = len(text)
+# One match per token: group 1 is the whitespace before it, and `lastindex`
+# names its kind, the last group that took part.
+_TOKEN_RE = re.compile(
+    r"""(\s*)(?:
+      ([(),;])                              # 2: punctuation
+    | ([A-Za-z0-9_.\-]+)(?:\#(\d*))?        # 3: a label; 4: the digits of a '#' straight after it
+    | \#(\d*)                               # 5: the digits of a '#'
+    | (:)\s*([+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)?  # 6: ':'; 7: the branch length
+    | (\S)                                  # 8: any other character
+    )""",
+    re.VERBOSE,
+)
+# reader states: a node is due; a ")" was just read; a node is read (its
+# label and rank too); its branch length is read as well; a ";" was read
+_NODE, _CLOSED, _READ, _LENGTH, _END = range(5)
 
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < size and text[pos].isspace():
-            pos += 1
 
-    def expect(ch: str) -> None:
-        nonlocal pos
-        skip_ws()
-        if pos >= size or text[pos] != ch:
-            raise NewickParseError(pos, f"expected {ch!r}")
-        pos += 1
+def _read(text: str, many: bool) -> list[PhyloTree]:
+    """Read the ';'-ended trees of `text`, one token per step of one loop;
+    with `many` false, exactly one tree. Errors give offsets into `text`.
 
-    def read_label() -> str:
-        nonlocal pos
-        skip_ws()
-        m = _LABEL_RE.match(text, pos)
-        if not m:
-            raise NewickParseError(pos, "expected a label")
-        pos = m.end()
-        return m.group()
-
-    def read_rank() -> int:
-        nonlocal pos
-        m = _INT_RE.match(text, pos)
-        if not m:
-            raise NewickParseError(pos, "expected an integer rank after '#'")
-        pos = m.end()
-        rank = int(m.group())
-        if rank < 1:
-            raise NewickParseError(pos, "rank must be a positive integer")
-        return rank
-
-    def skip_branch_length() -> None:
-        nonlocal pos
-        skip_ws()
-        if pos < size and text[pos] == ":":
-            pos += 1
-            skip_ws()
-            m = _FLOAT_RE.match(text, pos)
-            if not m:
-                raise NewickParseError(pos, "expected a number after ':'")
-            pos = m.end()
-
-    open_kids: list[list[PhyloTree]] = []  # child lists of the open "(", innermost last
-    leaves: set[str] = set()
-    while True:
-        skip_ws()
-        if pos < size and text[pos] == "(":
-            pos += 1
-            open_kids.append([])
+    The child lists of the open "(" are a stack, innermost last, so deep
+    trees need no recursion. A node is filed into its parent's list at the
+    "," or ")" after it; the node a ")" closes is built once its label and
+    rank, if any, are read.
+    """
+    trees: list[PhyloTree] = []
+    stack: list[list[PhyloTree]] = []
+    leaves: set[str] = set()  # the current tree's leaf labels
+    kids: list[PhyloTree] = []  # the child list the last ")" closed
+    nd = None  # the node read last, not yet filed
+    state = _NODE
+    for m in _TOKEN_RE.finditer(text):
+        k = m.lastindex
+        if state == _NODE or state == _END and many:
+            if k == 3 or k == 4:
+                label = m[3]
+                if label in leaves:
+                    raise NewickParseError(m.end(1), f"duplicate leaf label {label!r}")
+                if k == 4:  # a leaf has no rank: the '#' is out of place
+                    raise NewickParseError(m.end(3), "expected ')'" if stack else "expected ';'")
+                leaves.add(label)
+                nd, state = PhyloTree((), label), _READ
+            elif k == 2 and m[2] == "(":
+                stack.append([])
+                state = _NODE
+            else:
+                raise NewickParseError(m.end(1), "expected a label")
             continue
-        start = pos
-        nd = PhyloTree(label=read_label())
-        if nd.label in leaves:
-            raise NewickParseError(start, f"duplicate leaf label {nd.label!r}")
-        leaves.add(nd.label)
-        skip_branch_length()
-        while open_kids:  # nd is complete: file it, then close every ")" that follows
-            kids = open_kids[-1]
-            kids.append(nd)
-            skip_ws()
-            if pos < size and text[pos] == ",":
-                pos += 1
-                break
-            expect(")")
-            open_kids.pop()
-            if len(kids) < 2:
-                raise NewickParseError(pos, "internal node needs at least 2 children")
-            label: str | None = None
-            rank: int | None = None
-            skip_ws()
-            if pos < size and text[pos] == "#":
-                pos += 1
-                rank = read_rank()
-            elif pos < size and _LABEL_RE.match(text, pos):
-                label = read_label()
-                if pos < size and text[pos] == "#":
-                    pos += 1
-                    rank = read_rank()
-            skip_branch_length()
-            nd = PhyloTree(children=tuple(kids), label=label, rank=rank)
-        else:  # no "(" left open: nd is the root
-            break
-    expect(";")
-    skip_ws()
-    return nd, pos
+        if state == _CLOSED:  # a label and rank here are the closed node's
+            label = m[3] if k == 3 or k == 4 else None
+            rank = None
+            if k == 4 or k == 5:
+                if not m[k]:
+                    raise NewickParseError(m.start(k), "expected an integer rank after '#'")
+                rank = int(m[k])
+                if rank < 1:
+                    raise NewickParseError(m.end(k), "rank must be a positive integer")
+            nd, state = PhyloTree(tuple(kids), label, rank), _READ
+            if 3 <= k <= 5:
+                continue
+        if k == 2:
+            c = m[2]
+            if c == "," and stack:
+                stack[-1].append(nd)
+                state = _NODE
+                continue
+            if c == ")" and stack:
+                kids = stack.pop()
+                kids.append(nd)
+                if len(kids) < 2:
+                    raise NewickParseError(m.end(), "internal node needs at least 2 children")
+                state = _CLOSED
+                continue
+            if c == ";" and not stack and state != _END:
+                trees.append(nd)
+                leaves = set()
+                state = _END
+                continue
+        elif k == 7 and state == _READ:
+            state = _LENGTH
+            continue
+        elif k == 6 and state == _READ:
+            raise NewickParseError(m.end(), "expected a number after ':'")
+        pos = m.end(1)  # the token is out of place
+        break
+    else:  # the text is read: it must end on a ';'
+        if state == _END:
+            return trees
+        pos = len(text)
+    if state == _END:
+        raise NewickParseError(pos, "trailing characters after ';'")
+    if state == _NODE:
+        raise NewickParseError(pos, "expected a label")
+    raise NewickParseError(pos, "expected ')'" if stack else "expected ';'")
 
 
 def parse_newick(text: str) -> PhyloTree:
     """Parse one Newick tree; branch lengths are accepted and ignored."""
-    tree, pos = _read_tree(text, 0)
-    if pos != len(text):
-        raise NewickParseError(pos, "trailing characters after ';'")
-    return tree
+    return _read(text, many=False)[0]
 
 
 def parse_newick_many(text: str) -> list[PhyloTree]:
     """Parse a file's ';'-ended trees in turn; error positions are file offsets."""
     if not text.strip():
         raise NewickParseError(0, "no trees found")
-    trees, pos = [], 0
-    while pos < len(text):
-        tree, pos = _read_tree(text, pos)
-        trees.append(tree)
-    return trees
+    return _read(text, many=True)
 
 
 def _suffix(nd: PhyloTree) -> str:
@@ -414,36 +420,32 @@ def _breakup(tree: PhyloTree, hard: bool) -> list[Atom]:
     adjacent pair of children. A triple's outsider is the smallest current
     leaf under the node's siblings: a handled sibling shows the leaf it
     stands for, one not yet handled the leaves of its children. The root
-    has no outsider, so it gives only its fans.
+    has no siblings and so no outsider: it gives only its fans. The labels
+    of a tree are distinct, so each atom is built with its species
+    already in order.
     """
-    levels = [[tree]]  # the root, then the interior nodes of each depth; the last list is empty
+    levels = [[(tree,)]]  # sibling groups: the root alone, then the children of each depth
     while levels[-1]:
-        levels.append([c for nd in levels[-1] for c in nd.children if c.children])
+        levels.append([c.children for sibs in levels[-1] for c in sibs if c.children])
     stands: dict[PhyloTree, str] = {}  # handled node -> the leaf it stands for
+    get = stands.get
     atoms: list[Atom] = []
-
-    def current(nd: PhyloTree) -> str:
-        return stands[nd] if nd.children else nd.label
-
-    def handle(nd: PhyloTree, outsider: str | None) -> None:
-        kids = list(map(current, nd.children))
-        if hard:
-            atoms.extend(Fan.of(*fan) for fan in itertools.combinations(kids, 3))
-        if outsider is not None:
-            pairs = [kids[-2:]] if hard else itertools.pairwise(kids)
-            atoms.extend(Triple.of(a, b, outsider) for a, b in pairs)
-        stands[nd] = kids[-2]
-
     for level in reversed(levels):
-        for parent in level:
-            sibs = parent.children
-            shown = [min(map(current, s.children)) if s.children else s.label for s in sibs]
-            for i, nd in enumerate(sibs):
-                if nd.children:
-                    handle(nd, min(shown[:i] + shown[i + 1:]))
-                    shown[i] = stands[nd]
-    if tree.children:
-        handle(tree, None)
+        for sibs in level:
+            # each sibling's current leaves under it: those its children show
+            kids = [[get(c, c.label) for c in s.children] if s.children else None for s in sibs]
+            shown = [min(k) if k else s.label for s, k in zip(sibs, kids)]
+            for i, k in enumerate(kids):
+                if k is None:
+                    continue
+                if hard:
+                    atoms.extend([Fan(*sorted(fan)) for fan in itertools.combinations(k, 3)])
+                others = shown[:i] + shown[i + 1:]
+                if others:
+                    z = min(others)
+                    for a, b in [k[-2:]] if hard else itertools.pairwise(k):
+                        atoms.append(Triple(a, b, z) if a < b else Triple(b, a, z))
+                stands[sibs[i]] = shown[i] = k[-2]
     return atoms
 
 

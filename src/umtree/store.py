@@ -13,7 +13,7 @@ proportional to the number of mutations being undone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class Event:
@@ -38,9 +38,9 @@ _MAX = Event.MAX
 _NONE = Event.NONE
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    """Opaque marker for a store state; restore with Store.restore()."""
+class Checkpoint(NamedTuple):
+    """Opaque marker for a store state; restore with Store.restore(), which
+    accepts only the very object `checkpoint` returned."""
 
     depth: int
     trail_len: int

@@ -15,12 +15,16 @@ depth.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Collection, Iterable, Sequence
 
 from .engine import Engine, EngineCheckpoint, PropagateResult
 from .phylo import (
+    PARTLY_RANKED,
+    RANKED,
     Atom,
     Fan,
     PhyloTree,
@@ -65,12 +69,14 @@ class IncompatibleNestedError(Exception):
 @dataclass
 class Forest:
     """Input trees plus the sorted union of their leaf labels (`species`,
-    numbered by the model's `MrcaMatrix.index`). `labelled[t]` is what
-    validating tree t returns: the node of each of its labels, leaf or
-    taxon, in preorder, so one walk reads each tree."""
+    numbered by the model's `MrcaMatrix.index`). `labelled[t]` and
+    `rank_states[t]` are what validating tree t returns: the node of each of
+    its labels, leaf or taxon, in preorder, and its rank state (`RANKED`,
+    `PARTLY_RANKED` or `UNRANKED`), so one walk reads each tree."""
 
     trees: tuple[PhyloTree, ...]
     labelled: tuple[dict[str, PhyloTree], ...]
+    rank_states: tuple[str, ...]
     species: tuple[str, ...]
 
     @staticmethod
@@ -78,15 +84,15 @@ class Forest:
         trees = tuple(trees)
         if not trees:
             raise ValueError("empty forest")
-        labelled = tuple(map(validate_tree, trees))
+        labelled, rank_states = zip(*map(validate_tree, trees))
         leaves = {lab for nodes in labelled for lab, nd in nodes.items() if not nd.children}
-        return Forest(trees, labelled, tuple(sorted(leaves)))
+        return Forest(trees, labelled, rank_states, tuple(sorted(leaves)))
 
     @property
     def n(self) -> int:
         return len(self.species)
 
-    @property
+    @cached_property
     def taxa(self) -> dict[str, list[tuple[int, PhyloTree]]]:
         """The (tree index, node) of every internal node carrying a taxon
         label, by label, in tree order (labels are unique within a tree)."""
@@ -350,12 +356,23 @@ def _displayed(spans: Collection[frozenset[str]], atom: Atom) -> bool:
 def greedy_build_with_model(
     forest: Forest, mode: str = "hard"
 ) -> tuple[PhyloTree, GreedyReport, SupertreeModel]:
+    """`greedy_build`, also returning the model. The atoms of each first
+    source tree are probed at once, in tree order: a fixpoint is a
+    solution, so atoms that propagate together would each have been kept
+    alone. From the first group that fails on, atoms are probed one by
+    one, so the report and fixpoint are those of an atom-by-atom pass."""
     model = build_model(forest, mode, post_atoms=False)
     res = model.engine.propagate()
     assert res is PropagateResult.FIXPOINT
     accepted: list[Atom] = []
     rejected: list[Atom] = []
-    for atom in model.atoms:
+    by_tree = itertools.groupby(model.atoms.items(), key=lambda item: item[1][0])
+    groups = [[atom for atom, _ in sourced] for _, sourced in by_tree]
+    kept = 0
+    while kept < len(groups) and _probe(model, groups[kept]) is not None:
+        accepted += groups[kept]
+        kept += 1
+    for atom in itertools.chain.from_iterable(groups[kept:]):
         (rejected if _probe(model, [atom]) is None else accepted).append(atom)
     tree = matrix_to_tree(model)
     spans = clusters(tree).values()
@@ -623,17 +640,6 @@ class BuildOutcome:
     solve_ms: float = 0.0
 
 
-def _fully_ranked(tree: PhyloTree) -> bool:
-    """True for trees whose every internal node is ranked; a mix of ranked
-    and unranked internal nodes is a usage error."""
-    ranks = [nd.rank is not None for nd in iter_nodes(tree) if not nd.is_leaf]
-    if not ranks:
-        return False
-    if any(ranks) and not all(ranks):
-        raise ValueError("tree is only partially ranked; rank every internal node or none")
-    return all(ranks)
-
-
 def build_supertree(
     forest: Forest, mode: str = "hard", sides: Sequence[SideConstraint] = ()
 ) -> BuildOutcome:
@@ -648,8 +654,10 @@ def build_supertree(
     if has_taxa:
         forest = nested_preprocess(forest)
     all_sides = list(sides)
-    for t in forest.trees:
-        if _fully_ranked(t):
+    for t, rank_state in zip(forest.trees, forest.rank_states):
+        if rank_state == PARTLY_RANKED:
+            raise ValueError("tree is only partially ranked; rank every internal node or none")
+        if rank_state == RANKED:
             all_sides.append(RankAssign(t))
     model = build_model(forest, mode, sides=all_sides)
     if has_taxa:

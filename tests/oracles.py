@@ -15,8 +15,11 @@ reusing the propagation code paths it checks. It holds
   `RowWakeMatrix`, the scalar relations, the Prim read-off
   `matrix_to_tree` with its `NotUltrametricError`, the engine that picks
   its wake as a `min` over a list of the due propagators
-  (`MinDueEngine`), and the QuickXplain that re-posts its whole base for
-  every check (`quickxplain_reposting`);
+  (`MinDueEngine`), the QuickXplain that re-posts its whole base for
+  every check (`quickxplain_reposting`), the Newick reader built on
+  closures (`parse_newick_by_closures`, `parse_newick_many_by_closures`),
+  the breakup built on closures (`breakup_by_closures`) and the greedy
+  loop that probes one atom at a time (`greedy_atom_by_atom`);
 * two helpers that build test forests, and the tree-side oracles, among
   them BUILD with fans, the polynomial compatibility test for rooted
   triples and fans.
@@ -25,6 +28,7 @@ reusing the propagation code paths it checks. It holds
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter, ne
@@ -37,12 +41,15 @@ from umtree import (
     Engine,
     Event,
     Fan,
+    GreedyReport,
+    NewickParseError,
     PhyloTree,
     PreconditionError,
     PropagateResult,
     Store,
     Triple,
     UltrametricIntMatrix,
+    atom_holds,
     build_model,
     displays,
     leaf,
@@ -500,6 +507,184 @@ def quickxplain_reposting(forest, mode: str = "hard") -> ConflictCore:
 
     members = set(qx([], [], list(model.atoms)))
     return ConflictCore(tuple(a for a in model.atoms if a in members), probes)
+
+
+# -- the replaced reader, breakup and greedy loop -------------------------------------
+
+_LABEL_RE = re.compile(r"[A-Za-z0-9_.\-]+")
+_FLOAT_RE = re.compile(r"[+-]?\d+(\.\d+)?([eE][+-]?\d+)?")
+_INT_RE = re.compile(r"\d+")
+
+
+def _read_tree_by_closures(text: str, pos: int) -> tuple[PhyloTree, int]:
+    """Read the tree at `pos` through its ';'; return it and the position
+    of the next non-space character. Errors give offsets into `text`."""
+    size = len(text)
+
+    def skip_ws() -> None:
+        nonlocal pos
+        while pos < size and text[pos].isspace():
+            pos += 1
+
+    def expect(ch: str) -> None:
+        nonlocal pos
+        skip_ws()
+        if pos >= size or text[pos] != ch:
+            raise NewickParseError(pos, f"expected {ch!r}")
+        pos += 1
+
+    def read_label() -> str:
+        nonlocal pos
+        skip_ws()
+        m = _LABEL_RE.match(text, pos)
+        if not m:
+            raise NewickParseError(pos, "expected a label")
+        pos = m.end()
+        return m.group()
+
+    def read_rank() -> int:
+        nonlocal pos
+        m = _INT_RE.match(text, pos)
+        if not m:
+            raise NewickParseError(pos, "expected an integer rank after '#'")
+        pos = m.end()
+        rank = int(m.group())
+        if rank < 1:
+            raise NewickParseError(pos, "rank must be a positive integer")
+        return rank
+
+    def skip_branch_length() -> None:
+        nonlocal pos
+        skip_ws()
+        if pos < size and text[pos] == ":":
+            pos += 1
+            skip_ws()
+            m = _FLOAT_RE.match(text, pos)
+            if not m:
+                raise NewickParseError(pos, "expected a number after ':'")
+            pos = m.end()
+
+    open_kids: list[list[PhyloTree]] = []  # child lists of the open "(", innermost last
+    leaves: set[str] = set()
+    while True:
+        skip_ws()
+        if pos < size and text[pos] == "(":
+            pos += 1
+            open_kids.append([])
+            continue
+        start = pos
+        nd = PhyloTree(label=read_label())
+        if nd.label in leaves:
+            raise NewickParseError(start, f"duplicate leaf label {nd.label!r}")
+        leaves.add(nd.label)
+        skip_branch_length()
+        while open_kids:  # nd is complete: file it, then close every ")" that follows
+            kids = open_kids[-1]
+            kids.append(nd)
+            skip_ws()
+            if pos < size and text[pos] == ",":
+                pos += 1
+                break
+            expect(")")
+            open_kids.pop()
+            if len(kids) < 2:
+                raise NewickParseError(pos, "internal node needs at least 2 children")
+            label: str | None = None
+            rank: int | None = None
+            skip_ws()
+            if pos < size and text[pos] == "#":
+                pos += 1
+                rank = read_rank()
+            elif pos < size and _LABEL_RE.match(text, pos):
+                label = read_label()
+                if pos < size and text[pos] == "#":
+                    pos += 1
+                    rank = read_rank()
+            skip_branch_length()
+            nd = PhyloTree(children=tuple(kids), label=label, rank=rank)
+        else:  # no "(" left open: nd is the root
+            break
+    expect(";")
+    skip_ws()
+    return nd, pos
+
+
+def parse_newick_by_closures(text: str) -> PhyloTree:
+    """`parse_newick` as the closure reader ran it: the reference for the
+    token reader's trees, messages and error positions."""
+    tree, pos = _read_tree_by_closures(text, 0)
+    if pos != len(text):
+        raise NewickParseError(pos, "trailing characters after ';'")
+    return tree
+
+
+def parse_newick_many_by_closures(text: str) -> list[PhyloTree]:
+    """`parse_newick_many` as the closure reader ran it."""
+    if not text.strip():
+        raise NewickParseError(0, "no trees found")
+    trees, pos = [], 0
+    while pos < len(text):
+        tree, pos = _read_tree_by_closures(text, pos)
+        trees.append(tree)
+    return trees
+
+
+def breakup_by_closures(tree: PhyloTree, hard: bool) -> list[Triple | Fan]:
+    """`hard_breakup`/`soft_breakup` as they ran with a `current` and a
+    `handle` closure, every atom built through `Triple.of`/`Fan.of`: the
+    reference for the atoms and their order."""
+    levels = [[tree]]
+    while levels[-1]:
+        levels.append([c for nd in levels[-1] for c in nd.children if c.children])
+    stands: dict[PhyloTree, str] = {}
+    atoms: list[Triple | Fan] = []
+
+    def current(nd: PhyloTree) -> str:
+        return stands[nd] if nd.children else nd.label
+
+    def handle(nd: PhyloTree, outsider: str | None) -> None:
+        kids = list(map(current, nd.children))
+        if hard:
+            atoms.extend(Fan.of(*fan) for fan in itertools.combinations(kids, 3))
+        if outsider is not None:
+            pairs = [kids[-2:]] if hard else itertools.pairwise(kids)
+            atoms.extend(Triple.of(a, b, outsider) for a, b in pairs)
+        stands[nd] = kids[-2]
+
+    for level in reversed(levels):
+        for parent in level:
+            sibs = parent.children
+            shown = [min(map(current, s.children)) if s.children else s.label for s in sibs]
+            for i, nd in enumerate(sibs):
+                if nd.children:
+                    handle(nd, min(shown[:i] + shown[i + 1:]))
+                    shown[i] = stands[nd]
+    if tree.children:
+        handle(tree, None)
+    return atoms
+
+
+def greedy_atom_by_atom(forest, mode: str = "hard"):
+    """Greedy as it ran before it probed each tree's atoms at once: one
+    checkpoint, post and propagate per atom, in `model.atoms` order. The
+    rejected atoms the output violates are judged by its mrca matrix.
+    Returns the tree, the `GreedyReport` and the model."""
+    model = build_model(forest, mode, post_atoms=False)
+    engine = model.engine
+    assert engine.propagate() is PropagateResult.FIXPOINT
+    accepted, rejected = [], []
+    for atom in model.atoms:
+        cp = engine.checkpoint()
+        post_atom(engine, model.matrix, atom)
+        if engine.propagate() is PropagateResult.FIXPOINT:
+            accepted.append(atom)
+        else:
+            engine.restore(cp)
+            rejected.append(atom)
+    tree = model.ultrametric.tree()
+    matrix = tree_to_matrix(tree)
+    violated = tuple(a for a in rejected if not atom_holds(matrix, a))
+    return tree, GreedyReport(tuple(accepted), tuple(rejected), violated), model
 
 
 # -- the Prim read-off ---------------------------------------------------------------

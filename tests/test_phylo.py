@@ -35,6 +35,7 @@ import numpy as np
 from oracles import (
     NotUltrametricError,
     all_rooted_trees,
+    breakup_by_closures,
     candidates_with_codes,
     displays_by_codes,
     matrix_to_tree,
@@ -430,6 +431,37 @@ def test_soft_breakup_sufficient_for_binary_trees():
             if all(codes[k] == c for k, c in atom_codes.items())
         ]
         assert len(matches) == 1 and isomorphic(matches[0], t)
+
+
+def _labelled(tree, rng):
+    """The tree with a taxon label on about half of its internal nodes."""
+    if not tree.children:
+        return tree
+    kids = tuple(_labelled(c, rng) for c in tree.children)
+    return PhyloTree(kids, f"T{rng.randrange(10**6)}" if rng.random() < 0.5 else None)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_breakup_matches_the_closure_breakup(seed):
+    # binary, multifurcating and taxon-labelled trees with n = 1-80, their
+    # leaves named in a random order: the same atoms in the same order
+    rng = random.Random(seed)
+    for _ in range(5):
+        n = rng.randint(1, 80)
+        labels = rng.sample([f"{c}{i}" for c in "abx" for i in range(40)], n)
+        tree = random_tree(labels, rng, binary=seed % 3 == 0)
+        if seed % 3 == 2:
+            tree = _labelled(tree, rng)
+        for hard in (True, False):
+            assert (hard_breakup if hard else soft_breakup)(tree) == breakup_by_closures(tree, hard)
+
+
+def test_breakup_matches_the_closure_breakup_on_a_deep_caterpillar():
+    cat = _caterpillar(600, {k: f"T{k}" for k in range(3, 600, 7)})
+    fan_top = PhyloTree((cat, leaf("z1"), leaf("z2"), leaf("a")))
+    for tree in (cat, fan_top):
+        for hard in (True, False):
+            assert (hard_breakup if hard else soft_breakup)(tree) == breakup_by_closures(tree, hard)
 
 
 def _atom_code(atom):

@@ -53,6 +53,7 @@ from oracles import (
     atom_code,
     build_compatible,
     candidates_with_codes,
+    greedy_atom_by_atom,
     oracle_compatible,
     oracle_necessary,
     oracle_supertrees,
@@ -410,6 +411,50 @@ def test_greedy_judges_atoms_like_the_output_matrix(mode):
             assert supertree._displayed(spans, atom) == holds
             outcomes.add((type(atom), holds))
     assert len(outcomes) == 4
+
+
+def _assert_greedy_matches_atom_by_atom(forest, mode):
+    """The tree and report of `greedy_build_with_model` equal the atom-by-atom
+    loop's; it fails at most one probe more. Returns its report."""
+    tree, report, model = supertree.greedy_build_with_model(forest, mode)
+    want_tree, want, want_model = greedy_atom_by_atom(forest, mode)
+    assert serialize_newick(tree) == serialize_newick(want_tree)
+    assert (report.accepted, report.rejected, report.violated) == (
+        want.accepted,
+        want.rejected,
+        want.violated,
+    )
+    assert model.engine.stats.failures <= want_model.engine.stats.failures + 1
+    return report
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_greedy_by_tree_matches_atom_by_atom(mode):
+    # compatible and leaf-swapped forests, n = 6-80 and 2-6 trees; the
+    # swapped tree is the first, the last or one drawn at random
+    rng = random.Random(41)
+    rejecting = 0
+    for i in range(36):
+        n, k = rng.randint(6, 80), rng.randint(2, 6)
+        trees = random_forest(n, k, rng.random() * 0.4, rng, binary=i % 4 == 0)
+        if i % 3:
+            ti = (0, k - 1, rng.randrange(k))[i % 3]
+            trees[ti] = swap_leaves(trees[ti], *rng.sample(sorted(leaf_labels(trees[ti])), 2))
+        rejecting += bool(_assert_greedy_matches_atom_by_atom(Forest.from_trees(trees), mode).rejected)
+    assert rejecting >= 12
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_greedy_by_tree_when_every_later_tree_conflicts(mode):
+    # each later tree is the first with two of its leaves swapped, so
+    # every group after the first fails and is probed atom by atom
+    rng = random.Random(42)
+    first = random_tree([f"s{i:02d}" for i in range(30)], rng, binary=True)
+    trees = [first] + [swap_leaves(first, *rng.sample(sorted(leaf_labels(first)), 2)) for _ in range(4)]
+    forest = Forest.from_trees(trees)
+    report = _assert_greedy_matches_atom_by_atom(forest, mode)
+    sources = build_model(forest, mode, post_atoms=False).atoms
+    assert {sources[a][0] for a in report.rejected} == {1, 2, 3, 4}
 
 
 def test_greedy_report_json():
