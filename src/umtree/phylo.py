@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import itertools
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, TypeVar
-
-import numpy as np
 
 _T = TypeVar("_T")
 
@@ -343,22 +342,28 @@ def depth_labels(tree: PhyloTree) -> dict[PhyloTree, int]:
 
 @dataclass(frozen=True)
 class UltrametricIntMatrix:
-    """Symmetric integer matrix over sorted species labels, diagonal 0."""
+    """Symmetric integer matrix over sorted species labels, diagonal 0.
+
+    `values` is an n x n memoryview over an `array("q")` (`square`); the
+    checks read only `.shape`, `[i, j]` and `.tolist()`, so a numpy
+    array passes them too.
+    """
 
     labels: tuple[str, ...]
-    values: np.ndarray
+    values: memoryview
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
     def __post_init__(self) -> None:
-        v = self.values
-        if v.shape != (self.n, self.n):
+        v, n = self.values, self.n
+        if v.shape != (n, n):
             raise ValueError("matrix shape does not match label count")
-        if not (np.diag(v) == 0).all():
+        if any(v[i, i] for i in range(n)):
             raise ValueError("diagonal must be 0")
-        if not (v == v.T).all():
+        rows = v.tolist()
+        if rows != [list(c) for c in zip(*rows)]:
             raise ValueError("matrix must be symmetric")
 
     @cached_property
@@ -396,15 +401,21 @@ def mrca_pairs(tree: PhyloTree) -> Iterator[tuple[str, str, PhyloTree, int]]:
         under[nd] = merged
 
 
+def square(flat: array, n: int) -> memoryview:
+    """The n * n `array("q")` `flat` as an n x n memoryview, row-major."""
+    return memoryview(flat).cast("B").cast("q", (n, n))
+
+
 def tree_to_matrix(tree: PhyloTree) -> UltrametricIntMatrix:
     """Depth label of the mrca of every leaf pair (root depth 1)."""
     labels = tuple(sorted(leaf_labels(tree)))
     index = {lab: i for i, lab in enumerate(labels)}
-    rows = [[0] * len(labels) for _ in labels]  # list writes beat numpy item writes
+    n = len(labels)
+    flat = array("q", [0]) * (n * n)
     for a, b, _, depth in mrca_pairs(tree):
         i, j = index[a], index[b]
-        rows[i][j] = rows[j][i] = depth
-    return UltrametricIntMatrix(labels, np.array(rows, dtype=int))
+        flat[i * n + j] = flat[j * n + i] = depth
+    return UltrametricIntMatrix(labels, square(flat, n))
 
 
 # -- breakup ----------------------------------------------------------------

@@ -27,10 +27,8 @@ from array import array
 from itertools import islice
 from typing import Sequence
 
-import numpy as np
-
 from .engine import Engine, Propagator
-from .phylo import PhyloTree, leaf
+from .phylo import PhyloTree, leaf, square
 from .relations import Equal, Less, LessEq
 from .store import Event, Store
 
@@ -75,11 +73,13 @@ class MrcaMatrix:
         self.n = n
         self.index = {lab: i for i, lab in enumerate(labels)}
         self.cell_vars = cells = store.new_vars(n * (n - 1) // 2, 1, n - 1)
-        i, j = np.triu_indices(n, 1)
-        self.flat_ids = array("q", [0]) * (n * n)
-        ids = np.asarray(self.flat_ids).reshape(n, n)  # a view, dropped on return
-        ids[i, j] = ids[j, i] = np.arange(cells.start, cells.stop)
-        self.pairs = array("q", np.stack((i, j), axis=1).tobytes())
+        self.flat_ids = _symmetric(array("q", cells), n)
+        cols, first, second = array("q", range(n)), array("q"), array("q")
+        for i in range(n):
+            first += array("q", [i]) * (n - 1 - i)
+            second += cols[i + 1:]
+        self.pairs = pairs = array("q", [0]) * (2 * len(cells))
+        pairs[0::2], pairs[1::2] = first, second
 
     def cell(self, i: int, j: int) -> int:
         """Variable id of the unordered pair {i, j}, i != j."""
@@ -90,13 +90,25 @@ class MrcaMatrix:
     def cell_by_label(self, a: str, b: str) -> int:
         return self.cell(self.index[a], self.index[b])
 
-    def lower_bounds(self) -> np.ndarray:
-        """Current lb of every cell as a full symmetric n x n array."""
-        if not self.cell_vars:  # one species: no cells to gather
-            return np.zeros((self.n, self.n), dtype=np.int64)
-        m = np.array(self.store.lbs)[np.asarray(self.flat_ids).reshape(self.n, self.n)]
-        np.fill_diagonal(m, 0)
-        return m
+    def lower_bounds(self) -> memoryview:
+        """Current lb of every cell as a full symmetric n x n memoryview
+        over an `array("q")`, diagonal 0."""
+        cells = self.cell_vars
+        lbs = array("q", self.store.lbs[cells.start:cells.stop])
+        return square(_symmetric(lbs, self.n), self.n)
+
+
+def _symmetric(upper: array, n: int) -> array:
+    """The symmetric n x n `array("q")`, row-major with a 0 diagonal,
+    whose cells (i, j), i < j, are `upper` in row-major order."""
+    flat, s = array("q"), 0
+    for i in range(n):  # column i of the rows above, 0, then row i's own cells
+        e = s + n - 1 - i
+        flat += flat[i:i * n:n]
+        flat.append(0)
+        flat += upper[s:e]
+        s = e
+    return flat
 
 
 class UltrametricMatrix(Propagator):

@@ -18,8 +18,10 @@ reusing the propagation code paths it checks. It holds
   (`MinDueEngine`), the QuickXplain that re-posts its whole base for
   every check (`quickxplain_reposting`), the Newick reader built on
   closures (`parse_newick_by_closures`, `parse_newick_many_by_closures`),
-  the breakup built on closures (`breakup_by_closures`) and the greedy
-  loop that probes one atom at a time (`greedy_atom_by_atom`);
+  the breakup built on closures (`breakup_by_closures`), the greedy
+  loop that probes one atom at a time (`greedy_atom_by_atom`), and the
+  numpy scatter of the cell index and gather of the lower bounds
+  (`cell_index_by_numpy`, `lower_bounds_by_numpy`);
 * two helpers that build test forests, and the tree-side oracles, among
   them BUILD with fans, the polynomial compatibility test for rooted
   triples and fans.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from array import array
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter, ne
@@ -687,6 +690,30 @@ def greedy_atom_by_atom(forest, mode: str = "hard"):
     return tree, GreedyReport(tuple(accepted), tuple(rejected), violated), model
 
 
+# -- the numpy cell index and lower-bound gather ---------------------------------------
+
+
+def cell_index_by_numpy(start: int, n: int) -> tuple[array, array]:
+    """`MrcaMatrix.flat_ids` and `pairs` for n species whose cells are
+    the variables from `start` on, scattered through numpy index arrays:
+    the reference for the matrix's row-by-row build."""
+    i, j = np.triu_indices(n, 1)
+    flat_ids = array("q", [0]) * (n * n)
+    ids = np.asarray(flat_ids).reshape(n, n)  # a view of flat_ids
+    ids[i, j] = ids[j, i] = np.arange(start, start + len(i))
+    return flat_ids, array("q", np.stack((i, j), axis=1).tobytes())
+
+
+def lower_bounds_by_numpy(matrix: MrcaMatrix) -> np.ndarray:
+    """`MrcaMatrix.lower_bounds` gathered from `store.lbs` by numpy."""
+    n = matrix.n
+    if not matrix.cell_vars:  # one species: no cells to gather
+        return np.zeros((n, n), dtype=np.int64)
+    m = np.array(matrix.store.lbs)[np.asarray(matrix.flat_ids).reshape(n, n)]
+    np.fill_diagonal(m, 0)
+    return m
+
+
 # -- the Prim read-off ---------------------------------------------------------------
 
 
@@ -718,7 +745,7 @@ def matrix_to_tree(matrix: UltrametricIntMatrix) -> PhyloTree:
     tie for the minimum, which is reported. A stack pass over h then
     builds the tree. O(n^2), no recursion.
     """
-    n, values = matrix.n, matrix.values
+    n, values = matrix.n, np.asarray(matrix.values)
     if n == 0:
         raise ValueError("empty matrix")
     p = values.copy()

@@ -228,6 +228,62 @@ def test_gen_one_leaf_terminates(tmp_path, capsys):
     assert capsys.readouterr().out == "s000;\n"
 
 
+_WITHOUT_NUMPY = """
+import json
+import sys
+import umtree.cli
+assert "numpy" not in sys.modules, "import umtree.cli loaded numpy"
+sys.modules["numpy"] = None  # any later numpy import raises ImportError
+from umtree.cli import main
+codes = {}
+for name, args in CASES:
+    try:
+        codes[name] = main(args)
+    except SystemExit as e:
+        codes[name] = e.code
+print(json.dumps(codes))
+"""
+
+
+def test_every_command_runs_without_numpy(tmp_path):
+    # numpy is a test dependency only: every subcommand must run with it unimportable
+    files = {
+        "ok.nwk": "((a,b),c);\n((a,b),d);\n",
+        "inc.nwk": "((a,b),c);\n((a,c),b);\n",
+        "nest.nwk": "((a,b)T,c);\n(T,d);\n",
+        "rank.nwk": "((a,b)#3,(c,d)#2)#1;\n",
+        "side.txt": "predates a c a b\nbounds a c 1 2\n",
+        "super.nwk": "((a,b),(c,d));\n",
+        "one.nwk": "a;\n",
+    }
+    f = {name: _write(tmp_path, name, text) for name, text in files.items()}
+    cases = [
+        ("gen", ["gen", "--leaves", "8", "--trees", "2", "--out", str(tmp_path / "g.nwk")], 0),
+        ("build", ["build", f["ok.nwk"]], 0),
+        ("build soft", ["build", f["ok.nwk"], "--soft"], 0),
+        ("build incompatible", ["build", f["inc.nwk"]], 1),
+        ("build nested", ["build", f["nest.nwk"]], 0),
+        ("build ranked", ["build", f["rank.nwk"]], 0),
+        ("build constraints", ["build", f["ok.nwk"], "--constraints", f["side.txt"]], 0),
+        ("build one species", ["build", f["one.nwk"]], 0),
+        ("greedy", ["greedy", f["inc.nwk"]], 0),
+        ("necessity", ["necessity", f["ok.nwk"], "--atom", "(a,b)c"], 0),
+        ("explain", ["explain", f["inc.nwk"]], 0),
+        ("enumerate", ["enumerate", f["ok.nwk"], "--limit", "3"], 0),
+        ("breakup", ["breakup", f["ok.nwk"]], 0),
+        ("check", ["check", f["super.nwk"], f["ok.nwk"]], 0),
+    ]
+    src = str(Path(umtree.__file__).resolve().parents[1])
+    script = f"CASES = {[(name, args) for name, args, _ in cases]!r}\n" + _WITHOUT_NUMPY
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {name: want for name, _, want in cases}
+
+
 def test_gen_without_trees_is_usage_error(capsys):
     assert main(["gen", "--leaves", "5", "--trees", "0"]) == 2
     assert "n_trees must be at least 1" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 
 import pytest
 
@@ -28,7 +29,7 @@ from umtree import (
 )
 from umtree.engine import PropagateResult
 from umtree.generate import random_forest, random_tree
-from umtree.phylo import clusters, fold
+from umtree.phylo import clusters, fold, square
 from umtree.supertree import Forest, build_model
 import numpy as np
 
@@ -166,7 +167,24 @@ def test_tree_to_matrix_deep_caterpillar_is_iterative():
     idx = np.arange(n)
     want = n - np.maximum.outer(idx, idx)
     np.fill_diagonal(want, 0)
-    assert (m.values == want).all()
+    assert (np.asarray(m.values) == want).all()
+
+
+def _as_memoryview(rows):
+    return square(array("q", itertools.chain.from_iterable(rows)), len(rows))
+
+
+@pytest.mark.parametrize("as_values", [_as_memoryview, np.array], ids=["memoryview", "numpy"])
+def test_int_matrix_checks_its_values(as_values):
+    labels = ("a", "b", "c")
+    m = UltrametricIntMatrix(labels, as_values([[0, 2, 1], [2, 0, 1], [1, 1, 0]]))
+    assert m.value("b", "a") == 2 and m.value("a", "c") == 1
+    with pytest.raises(ValueError, match="shape"):
+        UltrametricIntMatrix(labels, as_values([[0, 2], [2, 0]]))
+    with pytest.raises(ValueError, match="diagonal"):
+        UltrametricIntMatrix(labels, as_values([[0, 2, 1], [2, 3, 1], [1, 1, 0]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        UltrametricIntMatrix(labels, as_values([[0, 2, 1], [2, 0, 1], [1, 2, 0]]))
 
 
 def test_matrix_to_tree_examples():

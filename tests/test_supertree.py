@@ -868,7 +868,7 @@ def readoffs(monkeypatch):
         tree = readoff(model)
         lb = model.lb_matrix()
         assert serialize_newick(tree) == serialize_newick(oracles.matrix_to_tree(lb))
-        depths = set(lb.values.flat) - {0}
+        depths = set(np.asarray(lb.values).flat) - {0}
         seen.append(depths != set(range(1, len(depths) + 1)))
         return tree
 
@@ -1028,7 +1028,8 @@ def test_a_sub_forest_has_no_higher_lower_bound(n, mode, binary):
         assert m.engine.propagate() is PropagateResult.FIXPOINT
     full, sub = models
     at = [full.matrix.index[s] for s in sub.forest.species]
-    assert (sub.matrix.lower_bounds() <= full.matrix.lower_bounds()[np.ix_(at, at)]).all()
+    lb = np.asarray(full.matrix.lower_bounds())[np.ix_(at, at)]
+    assert (np.asarray(sub.matrix.lower_bounds()) <= lb).all()
 
 
 @pytest.mark.parametrize(

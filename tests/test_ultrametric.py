@@ -9,12 +9,15 @@ from umtree import (
     DateBounds,
     Engine,
     Event,
+    Forest,
     Predates,
     PropagateResult,
     RankAssign,
     Store,
+    build_model,
     hard_breakup,
     leaf_labels,
+    parse_newick,
     post_um_matrix,
     random_forest,
     random_tree,
@@ -32,7 +35,9 @@ from oracles import (
     RowWakeMatrix,
     all_boxes,
     bcz_box_oracle,
+    cell_index_by_numpy,
     lb_fix,
+    lower_bounds_by_numpy,
     post_delayed_disjunction_um3,
     post_um3,
     ranked_by_depth,
@@ -258,6 +263,44 @@ def test_matrix_holds_no_per_cell_python_objects():
         tracemalloc.stop()
     assert len(m.cell_vars) == 300 * 299 // 2
     assert held < 3_000_000
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 60, 301])
+def test_cell_index_equals_numpy_scatter(n):
+    s = Store()
+    for _ in range(4):
+        s.new_var(0, 9)
+    m = MrcaMatrix(s, [f"s{i}" for i in range(n)])
+    assert m.cell_vars.start == 4
+    assert (m.flat_ids, m.pairs) == cell_index_by_numpy(4, n)
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_lower_bounds_equal_numpy_gather(mode):
+    def gathered(m):
+        lb = m.lower_bounds()
+        assert lb.shape == (m.n, m.n)
+        assert lb.tolist() == lower_bounds_by_numpy(m).tolist()
+        return lb.tolist()
+
+    one = build_model(Forest.from_trees([parse_newick("a;")]), mode).matrix
+    assert gathered(one) == [[0]]
+    rng = random.Random(11)
+    for n in (4, 30, 120):
+        trees = random_forest(n, 3, 0.25, rng)
+        model = build_model(Forest.from_trees(trees), mode)
+        m, engine = model.matrix, model.engine
+        gathered(m)
+        assert engine.propagate() is PropagateResult.FIXPOINT
+        fixpoint = gathered(m)
+        cp = engine.checkpoint()
+        swapped = swap_leaves(trees[0], *rng.sample(sorted(leaf_labels(trees[0])), 2))
+        for atom in hard_breakup(swapped):
+            post_atom(engine, m, atom)
+        engine.propagate()
+        gathered(m)
+        engine.restore(cp)
+        assert gathered(m) == fixpoint
 
 
 def test_matrix_initial_domains():
